@@ -36,16 +36,18 @@ stages (run exactly what is named, in the order given, deduplicated):
   features   feature-gated targets compile (proptest suite, criterion benches)
   smoke      bench binaries in --smoke mode (writes BENCH_*.smoke.json)
   stress     concurrency soak battery (debug + release + determinism property)
-  transport  reactor lifecycle/pipelining battery, speculative-read parity,
-             proxy smoke with response parity across both engines
+  transport  reactor lifecycle/pipelining battery, proxy smoke with
+             response parity across both engines
   chaos      transport-chaos battery (fault soak, flap ledger, recovery smoke)
   campaign   kill-matrix campaign vs committed baseline + static RBAC lint
   audit      durable-log battery (SIGKILL crash recovery, proptest framing
              corruption, differential replay, streaming tail)
   replica    shadow-replica battery (drift detection, anti-entropy chaos,
-             replica/scoped differential property, bench smoke)
+             replica/full differential property, bench smoke)
   overload   overload-control battery (shed storm, admin-lane immunity,
              brownout ladder, overload x chaos interleaving, bench smoke)
+  ledger     perf_ledger benchmark: its unit tests and a --smoke run
+             (writes only perf_ledger/out/ and perf_ledger/target/)
 
 flags (aliases kept for compatibility; each means core + that stage):
   --stress --chaos --campaign
@@ -76,7 +78,7 @@ for arg in "$@"; do
     --chaos) add_core; add_stage chaos ;;
     --campaign) add_core; add_stage campaign ;;
     core) add_core ;;
-    fmt|clippy|build|test|docs|features|smoke|stress|transport|chaos|campaign|audit|replica|overload)
+    fmt|clippy|build|test|docs|features|smoke|stress|transport|chaos|campaign|audit|replica|overload|ledger)
       add_stage "$arg" ;;
     *) echo "unknown option: $arg" >&2; echo >&2; usage >&2; exit 2 ;;
   esac
@@ -145,9 +147,6 @@ stage_transport() {
   step "transport: engine-agnostic transport battery + unit suite"
   cargo test --offline -p cm-httpkit -q
 
-  step "transport: speculative-read parity (cm-core)"
-  cargo test --offline --release -p cm-core -q speculative
-
   step "bench smoke: proxy_throughput (parity across worker pool and reactor)"
   cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke
 }
@@ -203,9 +202,9 @@ stage_replica() {
   step "replica: cm-core replica state-machine unit suite"
   cargo test --offline -p cm-core -q replica
 
-  step "replica: replica/scoped differential property"
+  step "replica: replica/full differential property"
   cargo test --offline --features proptest --test proptests -q \
-    replica_matches_scoped_snapshots
+    replica_matches_full_snapshots
 
   step "bench smoke: contract_eval (replica parity + zero-probe assertions)"
   cargo run --offline --release -p cm-bench --bin contract_eval -q -- --smoke
@@ -226,6 +225,15 @@ stage_overload() {
 
   step "bench smoke: proxy_throughput (overload sweep rides along)"
   cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke
+}
+
+stage_ledger() {
+  step "ledger: perf_ledger unit tests (its own workspace)"
+  cargo test --offline --locked --manifest-path perf_ledger/Cargo.toml -q
+
+  step "ledger: perf_ledger smoke (oracle + reconciliation, no thresholds)"
+  cargo run --offline --locked --release --manifest-path perf_ledger/Cargo.toml \
+    --bin perf_ledger -q -- --smoke
 }
 
 SUMMARY=""

@@ -65,7 +65,7 @@ pub struct AuditLogOptions {
     /// segment file's last write; the active segment never expires.
     pub max_age: Option<Duration>,
     /// Brownout ladder signal: while it reports
-    /// [`BrownoutSignal::audit_relaxed`] (step ≥ 3), group commits skip
+    /// [`BrownoutSignal::audit_relaxed`] (step ≥ 2), group commits skip
     /// the per-group fsync — durability downgrades to flush-on-rotation
     /// (rotation and shutdown always sync). Each skipped sync counts as
     /// `audit.relaxed_commits`. The record *stream* is unaffected:
@@ -817,8 +817,8 @@ mod tests {
         }
         log.flush().unwrap();
         assert_eq!(metrics.audit.get("relaxed_commits"), 0);
-        // Step 3: commits keep flowing, fsync per group is skipped.
-        signal.set_step(3);
+        // Step 2: commits keep flowing, fsync per group is skipped.
+        signal.set_step(2);
         for i in 5..10 {
             log.append(record(i));
             log.flush().unwrap();

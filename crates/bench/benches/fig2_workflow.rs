@@ -117,65 +117,8 @@ fn phase_costs(c: &mut Criterion) {
 
 criterion_group!(benches, direct_vs_monitored, phase_costs);
 
-fn snapshot_policy_costs(c: &mut Criterion) {
-    use cm_core::{CloudMonitor, SnapshotPolicy};
-    use cm_model::{BehavioralModel, State, TransitionBuilder, Trigger};
-
-    // A model whose only contract references the `project` root: Minimal
-    // probing skips the volume/quota/user round-trips.
-    fn project_only_model() -> BehavioralModel {
-        let mut m = BehavioralModel::new("ProjectReads", "project", "exists");
-        m.state(State::new(
-            "exists",
-            cm_ocl::parse("project.id->size() = 1").expect("parses"),
-        ));
-        m.transition(
-            TransitionBuilder::new(
-                "t_get",
-                "exists",
-                Trigger::new(HttpMethod::Get, "project"),
-                "exists",
-            )
-            .effect(cm_ocl::parse("project.id->size() = pre(project.id->size())").expect("parses"))
-            .build(),
-        );
-        m
-    }
-
-    let mut group = c.benchmark_group("snapshot_policy_full_vs_minimal");
-    for (name, policy) in [
-        ("full", SnapshotPolicy::Full),
-        ("minimal", SnapshotPolicy::Minimal),
-    ] {
-        let base = baseline_harness();
-        let token = base.tokens[0].1.clone();
-        let pid = base.project_id;
-        let monitor_cloud = base.cloud;
-        let mut monitor = CloudMonitor::generate(
-            &cinder::resource_model(),
-            &project_only_model(),
-            None,
-            monitor_cloud,
-        )
-        .expect("generates")
-        .snapshot_policy(policy);
-        monitor.authenticate("alice", "alice-pw").expect("fixture");
-        let path = format!("/v3/{pid}");
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let req = RestRequest::new(HttpMethod::Get, path.clone()).auth_token(&token);
-                black_box(monitor.handle(&req))
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(policy_benches, snapshot_policy_costs);
-
 fn main() {
     benches();
-    policy_benches();
     // The observability complement to the timing numbers above: the same
     // phase split, but measured by the monitor's own metrics registry.
     println!();

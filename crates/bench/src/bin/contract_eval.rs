@@ -9,16 +9,13 @@
 //!   [`cm_contracts::MethodContract`] interpreter and through the interned
 //!   [`cm_contracts::CompiledContractSet`] programs with a reused
 //!   [`cm_ocl::EvalScratch`];
-//! * **full vs scoped snapshot** — the probe round-trips and wall-clock
-//!   of [`StateProber::snapshot_checked`] against
-//!   [`StateProber::snapshot_attrs`] driven by the compiled
-//!   `DELETE(volume)` pre-scope;
-//! * **replica vs scoped monitoring** — a full authorized request mix
-//!   through two monitors, one probing a scoped snapshot per request
-//!   and one binding the evaluation environment from the model-derived
-//!   shadow replica. The replica side must serve steady state with
-//!   **zero** probe GETs per request, agree with the scoped oracle
-//!   verdict for verdict, and (non-smoke) be at least 1.5x faster.
+//! * **replica vs full monitoring** — a full authorized request mix
+//!   through two monitors, one probing the cloud before and after every
+//!   request (`SnapshotPolicy::Full`, the paper's binding) and one
+//!   binding the evaluation environment from the model-derived shadow
+//!   replica. The replica side must serve steady state with **zero**
+//!   probe GETs per request, agree with the full-probing oracle verdict
+//!   for verdict, and (non-smoke) be at least 1.5x faster.
 //!
 //! Results land in `BENCH_contract_eval.json` at the repo root. The run
 //! fails if the compiled pipeline is not at least 2x the interpreter.
@@ -37,19 +34,6 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Counts the probe round-trips a snapshot costs.
-struct CountingCloud {
-    inner: PrivateCloud,
-    hits: AtomicU64,
-}
-
-impl SharedRestService for CountingCloud {
-    fn call(&self, request: &cm_rest::RestRequest) -> cm_rest::RestResponse {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.inner.call(request)
-    }
-}
 
 /// A cloud wrapped for monitored-mix measurement: counts backend GETs
 /// through a shared handle (the wrapper itself serves behind HTTP).
@@ -173,7 +157,6 @@ fn monitored_mix(f: &MonitoredFixture) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let eval_iters: u32 = if smoke { 5 } else { 2_000 };
-    let snap_iters: u32 = if smoke { 5 } else { 500 };
 
     // The monitor is only borrowed for its generated artefacts: the
     // merged interpreter contract set and its compiled counterpart.
@@ -291,42 +274,13 @@ fn main() {
     let compiled_us = compiled_secs * 1e6 / f64::from(eval_iters) / per_iter_contracts;
     let eval_speedup = interp_secs / compiled_secs;
 
-    // Snapshot comparison: full probing vs the DELETE(volume) pre-scope.
-    let counting = CountingCloud {
-        inner: cloud,
-        hits: AtomicU64::new(0),
-    };
-    let delete_volume = compiled
-        .contracts()
-        .iter()
-        .find(|c| c.trigger.to_string() == "DELETE(volume)")
-        .expect("modelled trigger");
-    let scope = delete_volume.pre_scope();
-
-    counting.hits.store(0, Ordering::Relaxed);
-    let start = Instant::now();
-    for _ in 0..snap_iters {
-        black_box(prober.snapshot_checked(&counting, &target));
-    }
-    let full_secs = start.elapsed().as_secs_f64();
-    let full_probes = counting.hits.load(Ordering::Relaxed) / u64::from(snap_iters);
-
-    counting.hits.store(0, Ordering::Relaxed);
-    let start = Instant::now();
-    for _ in 0..snap_iters {
-        black_box(prober.snapshot_attrs(&counting, &target, scope));
-    }
-    let scoped_secs = start.elapsed().as_secs_f64();
-    let scoped_probes = counting.hits.load(Ordering::Relaxed) / u64::from(snap_iters);
-    let snap_speedup = full_secs / scoped_secs;
-
-    // Monitored mix: replica vs scoped through the full monitor. Parity
-    // first — identical scripts through both monitors must agree verdict
-    // for verdict and requirement for requirement (the scoped side is
-    // the probing oracle the replica claims to equal).
+    // Monitored mix: replica vs full probing through the whole monitor.
+    // Parity first — identical scripts through both monitors must agree
+    // verdict for verdict and requirement for requirement (the full side
+    // is the probing oracle the replica claims to equal).
     let mix_iters: u32 = if smoke { 3 } else { 300 };
     let replica_fixture = monitored_fixture(SnapshotPolicy::Replica);
-    let scoped_fixture = monitored_fixture(SnapshotPolicy::Scoped);
+    let full_fixture = monitored_fixture(SnapshotPolicy::Full);
     let parity_req = RestRequest::new(
         HttpMethod::Get,
         format!(
@@ -337,16 +291,16 @@ fn main() {
     .auth_token(&replica_fixture.token);
     for _ in 0..8 {
         let a = replica_fixture.monitor.process(&parity_req);
-        let scoped_req = RestRequest::new(
+        let full_req = RestRequest::new(
             HttpMethod::Get,
-            format!("/v3/{}/volumes/{}", scoped_fixture.pid, scoped_fixture.vid),
+            format!("/v3/{}/volumes/{}", full_fixture.pid, full_fixture.vid),
         )
-        .auth_token(&scoped_fixture.token);
-        let b = scoped_fixture.monitor.process(&scoped_req);
-        assert_eq!(a.verdict, b.verdict, "replica/scoped verdict parity");
+        .auth_token(&full_fixture.token);
+        let b = full_fixture.monitor.process(&full_req);
+        assert_eq!(a.verdict, b.verdict, "replica/full verdict parity");
         assert_eq!(
             a.requirements, b.requirements,
-            "replica/scoped requirement parity"
+            "replica/full requirement parity"
         );
     }
 
@@ -370,10 +324,10 @@ fn main() {
     let per_mix_chunk = (mix_iters / mix_chunks).max(1);
     for _ in 0..per_mix_chunk {
         monitored_mix(&replica_fixture);
-        monitored_mix(&scoped_fixture);
+        monitored_mix(&full_fixture);
     }
     let mut replica_secs = 0.0;
-    let mut scoped_monitor_secs = 0.0;
+    let mut full_secs = 0.0;
     for _ in 0..mix_chunks {
         let start = Instant::now();
         for _ in 0..per_mix_chunk {
@@ -382,11 +336,11 @@ fn main() {
         replica_secs += start.elapsed().as_secs_f64();
         let start = Instant::now();
         for _ in 0..per_mix_chunk {
-            monitored_mix(&scoped_fixture);
+            monitored_mix(&full_fixture);
         }
-        scoped_monitor_secs += start.elapsed().as_secs_f64();
+        full_secs += start.elapsed().as_secs_f64();
     }
-    let replica_speedup = scoped_monitor_secs / replica_secs;
+    let replica_speedup = full_secs / replica_secs;
     let mix_iters = per_mix_chunk * mix_chunks;
 
     println!("CONTRACT EVALUATION ({eval_iters} iters x {per_iter_contracts} contracts: pre + requirements + post)");
@@ -395,23 +349,11 @@ fn main() {
     println!("  compiled    : {compiled_us:8.2} us/contract");
     println!("  speedup     : {eval_speedup:8.2}x");
     println!();
-    println!("SNAPSHOT ({snap_iters} iters, DELETE(volume) pre-scope)");
+    println!("MONITORED MIX ({mix_iters} iters x 4 authorized requests, replica vs full)");
     println!();
     println!(
-        "  full   : {:8.2} us, {full_probes} probe requests",
-        full_secs * 1e6 / f64::from(snap_iters)
-    );
-    println!(
-        "  scoped : {:8.2} us, {scoped_probes} probe requests",
-        scoped_secs * 1e6 / f64::from(snap_iters)
-    );
-    println!("  speedup: {snap_speedup:8.2}x");
-    println!();
-    println!("MONITORED MIX ({mix_iters} iters x 4 authorized requests, replica vs scoped)");
-    println!();
-    println!(
-        "  scoped  : {:8.2} us/mix",
-        scoped_monitor_secs * 1e6 / f64::from(mix_iters)
+        "  full    : {:8.2} us/mix",
+        full_secs * 1e6 / f64::from(mix_iters)
     );
     println!(
         "  replica : {:8.2} us/mix, {replica_probes_per_request} probe GETs per steady-state request",
@@ -423,8 +365,6 @@ fn main() {
         "{{\n  \"benchmark\": \"contract_eval\",\n  \"smoke\": {smoke},\n  \"eval_iters\": {eval_iters},\n  \
          \"contracts\": {per_iter_contracts},\n  \"interpreter_us_per_contract\": {interp_us:.2},\n  \
          \"compiled_us_per_contract\": {compiled_us:.2},\n  \"eval_speedup\": {eval_speedup:.2},\n  \
-         \"snapshot_iters\": {snap_iters},\n  \"full_snapshot_probes\": {full_probes},\n  \
-         \"scoped_snapshot_probes\": {scoped_probes},\n  \"snapshot_speedup\": {snap_speedup:.2},\n  \
          \"mix_iters\": {mix_iters},\n  \"replica_probes_per_request\": {replica_probes_per_request},\n  \
          \"replica_speedup\": {replica_speedup:.2}\n}}\n"
     );
@@ -457,6 +397,6 @@ fn main() {
     );
     assert!(
         replica_speedup >= 1.5,
-        "replica monitoring must be at least 1.5x scoped probing, got {replica_speedup:.2}x"
+        "replica monitoring must be at least 1.5x full probing, got {replica_speedup:.2}x"
     );
 }

@@ -135,16 +135,14 @@ impl Topology {
         } else {
             RemoteService::connection_per_request(cloud_server.local_addr())
         };
-        // Production-lean monitor configuration, identical across every
-        // transport mode (parity is asserted on the responses): scoped
-        // probing, no post-pass state diagnostics, and the speculative
-        // safe-method sandwich. Recorded in the JSON artifact.
+        // Monitor configuration, identical across every transport mode
+        // (parity is asserted on the responses): the shadow-replica
+        // binding, so the transport rather than probing dominates.
+        // Recorded in the JSON artifact.
         let mut monitor = cinder_monitor(remote)
             .expect("models generate")
             .mode(Mode::Enforce)
-            .snapshot_policy(SnapshotPolicy::Scoped)
-            .report_states(false)
-            .speculative_reads(true);
+            .snapshot_policy(SnapshotPolicy::Replica);
         monitor
             .authenticate("alice", "alice-pw")
             .expect("admin authority");
@@ -414,9 +412,7 @@ fn stand_up_overload() -> (Topology, Arc<OverloadStats>) {
     let mut monitor = cinder_monitor(RemoteService::new(cloud_server.local_addr()))
         .expect("models generate")
         .mode(Mode::Enforce)
-        .snapshot_policy(SnapshotPolicy::Scoped)
-        .report_states(false)
-        .speculative_reads(true);
+        .snapshot_policy(SnapshotPolicy::Replica);
     monitor
         .authenticate("alice", "alice-pw")
         .expect("admin authority");
@@ -773,8 +769,7 @@ fn main() {
         "{{\n  \"benchmark\": \"proxy_throughput\",\n  \"smoke\": {smoke},\n  \"threads\": {THREADS},\n  \
          \"requests_per_thread\": {per_thread},\n  \"total_requests\": {total},\n  \
          \"pipeline_batch\": {PIPELINE_BATCH},\n  \
-         \"monitor_config\": {{ \"mode\": \"enforce\", \"snapshot_policy\": \"scoped\", \
-         \"report_states\": false, \"speculative_reads\": true }},\n  \
+         \"monitor_config\": {{ \"mode\": \"enforce\", \"snapshot_policy\": \"replica\" }},\n  \
          \"pr4_pooled_baseline_rps\": {PR4_POOLED_BASELINE_RPS:.0},\n  \
          \"baseline_rps\": {:.0},\n  \"pooled_rps\": {:.0},\n  \"reactor_rps\": {:.0},\n  \
          \"speedup\": {speedup:.2},\n  \"speedup_same_run\": {speedup_same_run:.2},\n  \

@@ -33,6 +33,42 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `cmcli serve` accepts besides `--extended`; each takes a
+/// value.
+const SERVE_VALUE_FLAGS: &[&str] = &[
+    "--port",
+    "--workers",
+    "--keep-alive",
+    "--transport",
+    "--degraded-policy",
+    "--snapshot-policy",
+    "--anti-entropy-every",
+    "--identity-ttl-secs",
+    "--identity-cache-cap",
+    "--request-deadline-ms",
+    "--breaker-threshold",
+    "--overload",
+    "--overload-deadline-ms",
+    "--overload-queue-limit",
+    "--audit-dir",
+    "--audit-max-age-secs",
+];
+
+/// Reject any `serve` argument that is neither a known flag nor the
+/// value right after one: a retired or misspelt flag must fail, not
+/// silently run the defaults.
+fn check_serve_args(rest: &[&str]) -> Result<(), CliError> {
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if SERVE_VALUE_FLAGS.contains(arg) {
+            args.next();
+        } else if *arg != "--extended" {
+            return Err(CliError(format!("unknown serve argument `{arg}`")));
+        }
+    }
+    Ok(())
+}
+
 /// Flag value lookup for `--flag VALUE` style arguments.
 fn flag_value<'a>(rest: &[&'a str], flag: &str) -> Result<Option<&'a str>, CliError> {
     match rest.iter().position(|a| *a == flag) {
@@ -149,6 +185,7 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
         Some("audit") => Ok(cmd_audit()),
         Some("serve") => {
             let rest: Vec<&str> = it.collect();
+            check_serve_args(&rest)?;
             let mut port = 8000u16;
             if let Some(pos) = rest.iter().position(|a| *a == "--port") {
                 port = rest
@@ -178,14 +215,6 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
                     Some(&"reactor") => cm_httpkit::Transport::Reactor,
                     Some(&"worker-pool") => cm_httpkit::Transport::WorkerPool,
                     _ => return Err(CliError("--transport needs reactor|worker-pool".into())),
-                };
-            }
-            let mut speculative_reads = false;
-            if let Some(pos) = rest.iter().position(|a| *a == "--speculative-reads") {
-                speculative_reads = match rest.get(pos + 1) {
-                    Some(&"on") => true,
-                    Some(&"off") => false,
-                    _ => return Err(CliError("--speculative-reads needs on|off".into())),
                 };
             }
             let mut policy = cm_core::DegradedPolicy::FailClosed;
@@ -290,7 +319,6 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
                 workers,
                 keep_alive,
                 transport,
-                speculative_reads,
                 policy,
                 snapshot_policy,
                 anti_entropy_every,
@@ -328,7 +356,6 @@ fn serve(
     workers: usize,
     keep_alive: bool,
     transport: cm_httpkit::Transport,
-    speculative_reads: bool,
     policy: cm_core::DegradedPolicy,
     snapshot_policy: cm_core::SnapshotPolicy,
     anti_entropy_every: u64,
@@ -416,7 +443,6 @@ fn serve(
         .degraded_policy(policy)
         .snapshot_policy(snapshot_policy)
         .anti_entropy_every(anti_entropy_every)
-        .speculative_reads(speculative_reads)
         .brownout_signal(Arc::clone(&brownout));
     if let Some(ttl) = identity_ttl {
         monitor = monitor.identity_cache_ttl(ttl);
@@ -500,14 +526,13 @@ fn serve(
     println!("private cloud   : http://{}", cloud_server.local_addr());
     println!("cloud monitor   : http://{}", monitor_server.local_addr());
     println!(
-        "transport       : {}, {} workers, keep-alive {}, speculative reads {}",
+        "transport       : {}, {} workers, keep-alive {}",
         match transport {
             cm_httpkit::Transport::Reactor => "reactor (epoll)",
             cm_httpkit::Transport::WorkerPool => "worker pool",
         },
         workers,
-        if keep_alive { "on" } else { "off" },
-        if speculative_reads { "on" } else { "off" }
+        if keep_alive { "on" } else { "off" }
     );
     println!(
         "resilience      : {policy:?}, deadline {:?}, breaker threshold {}",

@@ -624,8 +624,7 @@ pub fn parse_degraded_policy(value: &str) -> Result<cm_core::DegradedPolicy, Cli
     }
 }
 
-/// Parse a `--snapshot-policy` value: `full`, `minimal`, `scoped`, or
-/// `replica`.
+/// Parse a `--snapshot-policy` value: `full` or `replica`.
 ///
 /// # Errors
 ///
@@ -634,11 +633,9 @@ pub fn parse_snapshot_policy(value: &str) -> Result<cm_core::SnapshotPolicy, Cli
     use cm_core::SnapshotPolicy;
     match value {
         "full" => Ok(SnapshotPolicy::Full),
-        "minimal" => Ok(SnapshotPolicy::Minimal),
-        "scoped" => Ok(SnapshotPolicy::Scoped),
         "replica" => Ok(SnapshotPolicy::Replica),
         other => Err(fail(format!(
-            "unknown snapshot policy `{other}` (expected full | minimal | scoped | replica)"
+            "unknown snapshot policy `{other}` (expected full | replica)"
         ))),
     }
 }
@@ -730,20 +727,17 @@ pub fn usage() -> &'static str {
                                               readiness-polled epoll reactor\n\
                                               (default) or thread-per-connection\n\
                                               worker pool\n\
-             [--speculative-reads on|off]     pipeline safe GETs with their\n\
-                                              probes in one backend batch\n\
-                                              (default off; verdicts and\n\
-                                              responses are unchanged)\n\
              [--degraded-policy fail-closed|fail-open[:N]]\n\
                                               what Enforce does when the cloud\n\
                                               cannot be snapshotted (default\n\
                                               fail-closed; fail-open:N allows\n\
                                               at most N unchecked forwards)\n\
-             [--snapshot-policy full|minimal|scoped|replica]\n\
-                                              how the OCL environment is\n\
-                                              materialised (default full);\n\
-                                              replica = model-derived shadow\n\
-                                              state, zero probes steady-state\n\
+             [--snapshot-policy full|replica] how the OCL environment is\n\
+                                              bound: full = probe the cloud\n\
+                                              before and after each request\n\
+                                              (default); replica = model-\n\
+                                              derived shadow state, zero\n\
+                                              probes steady-state\n\
              [--anti-entropy-every N]         under replica: scheduled probe\n\
                                               reconciliation every N replica-\n\
                                               served requests, surfacing out-\n\

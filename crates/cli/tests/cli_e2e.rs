@@ -1,7 +1,8 @@
 //! End-to-end tests of the actual CLI binaries (spawned as processes).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn cmcli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cmcli"))
@@ -27,6 +28,52 @@ fn unknown_command_fails_with_usage_on_stderr() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown command"));
     assert!(err.contains("USAGE"));
+}
+
+/// Run `cmcli serve` with `args`, which must make it fail before it
+/// binds anything; returns its stderr. A serve that starts instead is
+/// killed and fails the test rather than hanging it.
+fn serve_rejects(args: &[&str]) -> String {
+    let mut child = cmcli()
+        .arg("serve")
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("cmcli serve {args:?} started instead of failing");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(!out.status.success(), "{args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn serve_rejects_retired_flags_and_policies() {
+    let err = serve_rejects(&["--port", "0", "--speculative-reads", "on"]);
+    assert!(
+        err.contains("unknown serve argument `--speculative-reads`"),
+        "{err}"
+    );
+    assert!(err.contains("USAGE"), "{err}");
+    let err = serve_rejects(&["--port", "0", "--snapshot-policy", "scoped"]);
+    assert!(err.contains("unknown snapshot policy `scoped`"), "{err}");
+}
+
+#[test]
+fn serve_rejects_a_misspelt_flag() {
+    let err = serve_rejects(&["--port", "0", "--snapshot-polcy", "replica"]);
+    assert!(
+        err.contains("unknown serve argument `--snapshot-polcy`"),
+        "{err}"
+    );
 }
 
 #[test]

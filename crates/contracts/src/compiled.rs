@@ -15,13 +15,14 @@
 //!   monitor checks the combined verdict *and* per-clause enablement;
 //! * the state invariants are added as extra roots of both programs, so
 //!   state diagnostics (`states_matching`) reuse the same memo table and
-//!   their attribute reads are included in the snapshot scopes.
+//!   their attribute reads are included in the read scopes.
 //!
 //! The per-program attribute analysis is resolved here into name-keyed
-//! [`AttrScope`]s: `pre_scope` is everything the pre-phase snapshot must
-//! contain (current-state reads of the pre side **plus** the post side's
-//! `pre()` reads, since the same snapshot later serves as the post's
-//! pre-state), and `post_scope` is the post side's current-state reads.
+//! [`AttrScope`]s: `pre_scope` is everything the pre-state environment
+//! must bind (current-state reads of the pre side **plus** the post
+//! side's `pre()` reads, since the same environment later serves as the
+//! post's pre-state), and `post_scope` is the post side's current-state
+//! reads.
 //! When the compile-time analysis is inexact (a `let` may alias objects),
 //! the scope degrades to whole-root wildcards — never to silence.
 //!
@@ -51,8 +52,6 @@ pub struct CompiledContract {
     post_state_roots: Vec<NodeId>,
     pre_scope: AttrScope,
     post_scope: AttrScope,
-    pre_scope_lean: AttrScope,
-    post_scope_lean: AttrScope,
 }
 
 impl CompiledContract {
@@ -165,39 +164,19 @@ impl CompiledContract {
         Ok(out)
     }
 
-    /// Attributes the pre-phase snapshot must capture: current-state reads
-    /// of the pre-condition and state invariants, plus the post side's
-    /// `pre()` reads (the same snapshot serves as the post's pre-state).
+    /// Attributes the pre-state environment must bind: current-state
+    /// reads of the pre-condition and state invariants, plus the post
+    /// side's `pre()` reads (the same environment serves as the post's
+    /// pre-state).
     #[must_use]
     pub fn pre_scope(&self) -> &AttrScope {
         &self.pre_scope
     }
 
-    /// Attributes the post-phase snapshot must capture.
+    /// Attributes the post-state environment must bind.
     #[must_use]
     pub fn post_scope(&self) -> &AttrScope {
         &self.post_scope
-    }
-
-    /// Like [`CompiledContract::pre_scope`], but *without* the state
-    /// invariants' reads: exactly what the pre-condition, clause
-    /// enablement and the post side's `pre()` reads touch. Sufficient
-    /// for verdicts; the state diagnostics
-    /// ([`CompiledContract::matching_state_indices_post`]) may evaluate
-    /// over attributes a lean snapshot never probed. A monitor that
-    /// skips state reporting probes this scope instead — on the
-    /// generated Cinder contracts that drops the `project` and
-    /// `quota_sets` GETs from every read-path snapshot.
-    #[must_use]
-    pub fn pre_scope_lean(&self) -> &AttrScope {
-        &self.pre_scope_lean
-    }
-
-    /// Lean counterpart of [`CompiledContract::post_scope`] (see
-    /// [`CompiledContract::pre_scope_lean`]).
-    #[must_use]
-    pub fn post_scope_lean(&self) -> &AttrScope {
-        &self.post_scope_lean
     }
 
     /// The compiled pre-side program (for stats/audit output).
@@ -272,7 +251,7 @@ fn resolve_pairs<'a>(
         .collect()
 }
 
-/// The pre/post snapshot scopes implied by a compiled pre/post program
+/// The pre/post read scopes implied by a compiled pre/post program
 /// pair: the pre scope is the pre side's current-state reads plus the
 /// post side's `pre()` reads (one snapshot serves both), the post scope
 /// is the post side's current-state reads. Falls back to whole-root
@@ -331,21 +310,6 @@ fn compile_contract(
 
     let (pre_scope, post_scope) = derive_scopes(symbols, &pre, &post);
 
-    // Shadow programs over the same sources *minus* the state
-    // invariants. They are never evaluated — compiled once at generate
-    // time purely so their attribute-reference analysis yields the lean
-    // scopes a diagnostics-free monitor can snapshot by.
-    let mut b = ProgramBuilder::new(symbols);
-    b.add(&mc.pre);
-    for clause in &mc.clauses {
-        b.add(&clause.pre);
-    }
-    let pre_lean = b.finish();
-    let mut b = ProgramBuilder::new(symbols);
-    b.add(&mc.post);
-    let post_lean = b.finish();
-    let (pre_scope_lean, post_scope_lean) = derive_scopes(symbols, &pre_lean, &post_lean);
-
     CompiledContract {
         trigger: mc.trigger.clone(),
         pre,
@@ -357,8 +321,6 @@ fn compile_contract(
         post_state_roots,
         pre_scope,
         post_scope,
-        pre_scope_lean,
-        post_scope_lean,
     }
 }
 

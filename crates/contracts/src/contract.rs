@@ -182,55 +182,6 @@ impl ContractSet {
     }
 }
 
-impl MethodContract {
-    /// The context roots (free variables) this contract's pre- and
-    /// post-conditions navigate — the paper's "values that constitute the
-    /// guards and invariants". The monitor's prober uses this to snapshot
-    /// only the needed resources.
-    #[must_use]
-    pub fn referenced_roots(&self) -> Vec<String> {
-        let mut out = self.pre.free_variables();
-        for v in self.post.free_variables() {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod roots_tests {
-    use crate::generate::generate;
-    use cm_model::{cinder, HttpMethod, Trigger};
-
-    #[test]
-    fn cinder_delete_references_all_four_roots() {
-        let set = generate(&cinder::behavioral_model()).unwrap();
-        let delete = set
-            .contract_for(&Trigger::new(HttpMethod::Delete, "volume"))
-            .unwrap();
-        let mut roots = delete.referenced_roots();
-        roots.sort();
-        assert_eq!(roots, vec!["project", "quota_sets", "user", "volume"]);
-    }
-
-    #[test]
-    fn minimal_model_references_fewer_roots() {
-        use cm_model::{BehavioralModel, State, TransitionBuilder, Trigger};
-        let mut m = BehavioralModel::new("b", "project", "s");
-        m.state(State::new(
-            "s",
-            cm_ocl::parse("project.id->size() = 1").unwrap(),
-        ));
-        m.transition(
-            TransitionBuilder::new("t", "s", Trigger::new(HttpMethod::Get, "project"), "s").build(),
-        );
-        let set = generate(&m).unwrap();
-        assert_eq!(set.contracts[0].referenced_roots(), vec!["project"]);
-    }
-}
-
 #[cfg(test)]
 mod eval_tests {
     use super::*;

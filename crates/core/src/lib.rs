@@ -59,9 +59,8 @@ pub use coverage::{CoverageTracker, RequirementCoverage};
 pub use model_probe::ModelProber;
 pub use monitor::{
     cinder_monitor, cinder_monitor_extended, expected_success_status, BrownoutConfig,
-    BrownoutController, CloudMonitor, DegradedPolicy, EvalStrategy, Mode, MonitorBuildError,
-    MonitorOutcome, MonitorRecord, SnapshotPolicy, Verdict, ANTI_ENTROPY_STRETCH,
-    DEFAULT_EVENT_CAPACITY,
+    BrownoutController, CloudMonitor, DegradedPolicy, Mode, MonitorBuildError, MonitorOutcome,
+    MonitorRecord, SnapshotPolicy, Verdict, ANTI_ENTROPY_STRETCH, DEFAULT_EVENT_CAPACITY,
 };
 pub use oracle::{OracleReport, ScenarioResult, TestOracle};
 pub use probe::{ProbeFault, ProbeTarget, Snapshot, StateProber, DEFAULT_IDENTITY_CAP};

@@ -12,115 +12,12 @@
 //! produces the post-state.
 
 use cm_model::HttpMethod;
-use cm_ocl::{AttrScope, MapNavigator, ObjRef, Value};
+use cm_ocl::{MapNavigator, ObjRef, Value};
 use cm_rest::{Json, RestRequest, RestResponse, SharedRestService, StatusCode};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
-
-/// How much of the evaluation environment a snapshot materialises.
-#[derive(Debug, Clone, Copy)]
-enum ProbeScope<'a> {
-    /// Every probe request.
-    Full,
-    /// Whole context roots (the `SnapshotPolicy::Minimal` granularity).
-    Roots(&'a [String]),
-    /// Individual `(root, attribute)` pairs from the compile-time
-    /// analysis (the `SnapshotPolicy::Scoped` granularity).
-    Attrs(&'a AttrScope),
-}
-
-impl ProbeScope<'_> {
-    /// Does the contract read `root.attr`?
-    fn needs(self, root: &str, attr: &str) -> bool {
-        match self {
-            ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
-            ProbeScope::Attrs(s) => s.contains(root, attr),
-        }
-    }
-
-    /// Does the contract read any attribute of `root` besides `excluded`?
-    fn needs_other_than(self, root: &str, excluded: &str) -> bool {
-        match self {
-            ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
-            ProbeScope::Attrs(s) => s.contains_other_than(root, excluded),
-        }
-    }
-
-    /// Does the contract read any attribute of `root` at all?
-    fn needs_any(self, root: &str) -> bool {
-        match self {
-            ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
-            ProbeScope::Attrs(s) => s.mentions_root(root),
-        }
-    }
-}
-
-/// Which REST probes one snapshot issues, resolved from the scope in a
-/// single pass *before* any request goes out. Two jobs: the scope
-/// queries (indexed, but still not free) run once per snapshot instead
-/// of once per attribute, and the full probe list is known up front so
-/// it can be issued as **one batch** over a single pooled backend
-/// connection ([`SharedRestService::call_batch`]).
-#[derive(Debug, Clone, Copy)]
-struct ProbePlan {
-    /// `GET {prefix}/{pid}` — binds `project.id` / `project.name`.
-    project: bool,
-    /// `GET {prefix}/{pid}/volumes` — binds `project.volumes` and the
-    /// listed volumes' attributes.
-    volumes: bool,
-    /// `GET {prefix}/{pid}/volumes/{vid}` — binds the addressed volume.
-    volume_item: bool,
-    /// `GET …/volumes/{vid}/snapshots` — binds `volume.snapshots`.
-    snapshots: bool,
-    /// `GET …/snapshots/{sid}` — binds the addressed snapshot.
-    snapshot_item: bool,
-    /// `GET {prefix}/{pid}/quota_sets` — binds `quota_sets.volume`.
-    quota: bool,
-    /// `GET /identity/tokens/{token}` — binds the `user` context.
-    user: bool,
-}
-
-impl ProbePlan {
-    fn new(scope: ProbeScope<'_>, target: &ProbeTarget) -> ProbePlan {
-        let volumes = scope.needs("project", "volumes");
-        // The volumes listing is a *detailed* listing: it binds every
-        // listed volume's `id`/`name`/`size`/`status` — exactly the
-        // attribute set `bind_volume_item` binds (and a volume absent
-        // from the listing gets no bindings either way). Whenever the
-        // listing is already in the plan the item GET is therefore
-        // redundant and elided: one fewer round-trip per snapshot. The
-        // `Full` (audit) granularity keeps the item probe anyway — its
-        // per-item denial signal catches a cloud that denies item reads
-        // while allowing listings, which the mutation campaigns rely on.
-        let listing_covers_item = volumes && !matches!(scope, ProbeScope::Full);
-        // The listing carries the project-existence signal too (404 iff
-        // the project is absent), which is all `project.id` encodes — so
-        // when only the id is read, the dedicated project GET is equally
-        // redundant beside the listing. `project.name` still needs the
-        // project body, and `Full` keeps the direct probe: it is the
-        // only probe that cross-checks the identity registry against
-        // the block-storage state (a divergence a mutant can introduce).
-        ProbePlan {
-            project: scope.needs("project", "name")
-                || (scope.needs("project", "id") && !listing_covers_item),
-            volumes,
-            volume_item: target.volume_id.is_some()
-                && !listing_covers_item
-                && scope.needs_other_than("volume", "snapshots"),
-            snapshots: target.volume_id.is_some() && scope.needs("volume", "snapshots"),
-            snapshot_item: target.volume_id.is_some()
-                && target.snapshot_id.is_some()
-                && scope.needs_any("snapshot"),
-            quota: scope.needs_any("quota_sets"),
-            user: scope.needs_any("user"),
-        }
-    }
-}
 
 /// One probe GET that the *transport* failed to deliver: the response
 /// was synthesised by the client layer (marked with
@@ -375,131 +272,24 @@ impl StateProber {
         cloud: &dyn SharedRestService,
         target: &ProbeTarget,
     ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Full, None).1
+        self.snapshot_impl(cloud, target, None).1
     }
 
-    /// Forward `lead` to the cloud and take a full-granularity
-    /// post-state snapshot in the *same* pipelined batch
-    /// ([`SharedRestService::call_batch`]). The backend serves a batch
-    /// in order over one connection, so the probes observe the state
-    /// *after* the lead call executed — semantically the sequential
-    /// forward-then-snapshot, minus one full round of backend
-    /// round-trips. Returns the lead's response plus the snapshot.
+    /// Forward `lead` to the cloud and take a post-state snapshot in the
+    /// *same* pipelined batch ([`SharedRestService::call_batch`]). The
+    /// backend serves a batch in order over one connection, so the
+    /// probes observe the state *after* the lead call executed —
+    /// semantically the sequential forward-then-snapshot, minus one full
+    /// round of backend round-trips. Returns the lead's response plus
+    /// the snapshot.
     pub fn snapshot_checked_after(
         &self,
         cloud: &dyn SharedRestService,
         lead: &RestRequest,
         target: &ProbeTarget,
     ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Full, Some(lead));
+        let (resp, snap) = self.snapshot_impl(cloud, target, Some(lead));
         (resp.expect("lead response present"), snap)
-    }
-
-    /// Like [`StateProber::snapshot_checked`], but probes only the context
-    /// roots in `scope` — the minimal set a contract actually navigates
-    /// (see `MethodContract::referenced_roots`). The paper's monitor
-    /// stores "only the values that constitute the guards and invariants";
-    /// scoped probing realises that: a contract that never mentions
-    /// `quota_sets` costs one fewer REST round-trip per snapshot.
-    pub fn snapshot_scoped(
-        &self,
-        cloud: &dyn SharedRestService,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Roots(scope), None)
-            .1
-    }
-
-    /// [`StateProber::snapshot_checked_after`] at root granularity.
-    pub fn snapshot_scoped_after(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Roots(scope), Some(lead));
-        (resp.expect("lead response present"), snap)
-    }
-
-    /// Like [`StateProber::snapshot_scoped`], but at *attribute*
-    /// granularity: probe requests are issued only when some
-    /// `(root, attribute)` pair they would bind is in `scope` — the pairs
-    /// the compiled contract's `pre()`/invariant analysis recorded. A
-    /// contract that reads `project.volumes` but never `project.id` skips
-    /// the project GET entirely; one that never mentions
-    /// `volume.snapshots` skips the snapshots listing even though it
-    /// reads the volume item.
-    pub fn snapshot_attrs(
-        &self,
-        cloud: &dyn SharedRestService,
-        target: &ProbeTarget,
-        scope: &AttrScope,
-    ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Attrs(scope), None)
-            .1
-    }
-
-    /// [`StateProber::snapshot_checked_after`] at attribute granularity.
-    pub fn snapshot_attrs_after(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &AttrScope,
-    ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Attrs(scope), Some(lead));
-        (resp.expect("lead response present"), snap)
-    }
-
-    /// Full-granularity speculative sandwich: `[pre-probes…, lead,
-    /// post-probes…]` in one pipelined batch (see `sandwich_impl`).
-    /// Returns `(pre-snapshot, lead response, post-snapshot)`. Only
-    /// sound for *safe* (read-only) lead methods.
-    pub fn snapshot_sandwich_checked(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(cloud, lead, target, ProbeScope::Full, ProbeScope::Full)
-    }
-
-    /// [`StateProber::snapshot_sandwich_checked`] at root granularity.
-    pub fn snapshot_sandwich_scoped(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(
-            cloud,
-            lead,
-            target,
-            ProbeScope::Roots(scope),
-            ProbeScope::Roots(scope),
-        )
-    }
-
-    /// [`StateProber::snapshot_sandwich_checked`] at attribute
-    /// granularity, with separate pre- and post-phase scopes.
-    pub fn snapshot_sandwich_attrs(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        pre_scope: &AttrScope,
-        post_scope: &AttrScope,
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(
-            cloud,
-            lead,
-            target,
-            ProbeScope::Attrs(pre_scope),
-            ProbeScope::Attrs(post_scope),
-        )
     }
 
     /// Probe the cloud and build the evaluation environment.
@@ -518,19 +308,16 @@ impl StateProber {
     ///   guards use role names as group labels), `user.roles` — the full
     ///   role set, `user.id` — the user id.
     pub fn snapshot(&self, cloud: &dyn SharedRestService, target: &ProbeTarget) -> MapNavigator {
-        self.snapshot_impl(cloud, target, ProbeScope::Full, None)
-            .1
-            .nav
+        self.snapshot_impl(cloud, target, None).1.nav
     }
 
     fn snapshot_impl(
         &self,
         cloud: &dyn SharedRestService,
         target: &ProbeTarget,
-        scope: ProbeScope<'_>,
         lead: Option<&RestRequest>,
     ) -> (Option<RestResponse>, Snapshot) {
-        let mut asm = self.assemble(target, scope);
+        let mut probes = self.assemble(target);
         // A lead request (the monitored call itself) rides at the head
         // of the probe batch: the backend answers a pipelined batch in
         // order, so the probes still observe the post-lead state. The
@@ -538,161 +325,67 @@ impl StateProber {
         // response vector, so the probe zip in `bind_snapshot` never
         // sees it.
         let mut responses = if let Some(lead) = lead {
-            asm.requests.insert(0, lead.clone());
-            let responses = cloud.call_batch(&asm.requests);
-            asm.requests.remove(0);
+            probes.requests.insert(0, lead.clone());
+            let responses = cloud.call_batch(&probes.requests);
+            probes.requests.remove(0);
             debug_assert!(!responses.is_empty());
             responses
         } else {
-            cloud.call_batch(&asm.requests)
+            cloud.call_batch(&probes.requests)
         };
         let lead_response = lead.map(|_| responses.remove(0));
-        debug_assert_eq!(responses.len(), asm.requests.len());
-        let snapshot = self.bind_snapshot(
-            &asm.plan,
-            &asm.kinds,
-            &asm.requests,
-            asm.cached_user,
-            responses,
-            target,
-        );
-        (lead_response, snapshot)
+        debug_assert_eq!(responses.len(), probes.requests.len());
+        (lead_response, self.bind_snapshot(probes, responses, target))
     }
 
-    /// Issue `[pre-probes…, lead, post-probes…]` as ONE pipelined batch
-    /// and bind both snapshots. The backend serves a batch in order over
-    /// a single connection, so the pre-probes observe the state *before*
-    /// the lead executed and the post-probes the state *after* — exactly
-    /// the sequential three-phase exchange, minus two full rounds of
-    /// backend round-trips.
-    ///
-    /// The caller is responsible for only sandwiching *safe* methods
-    /// (RFC 7231 §4.2.1: GET/HEAD): the lead reaches the cloud before
-    /// any verdict on the pre-state is computed, which is only sound
-    /// when the lead cannot change state.
-    fn sandwich_impl(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        pre_scope: ProbeScope<'_>,
-        post_scope: ProbeScope<'_>,
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        let pre = self.assemble(target, pre_scope);
-        let post = self.assemble(target, post_scope);
-        let pre_len = pre.requests.len();
-        let mut all = pre.requests;
-        all.push(lead.clone());
-        all.extend(post.requests);
-        let mut responses = cloud.call_batch(&all);
-        debug_assert_eq!(responses.len(), all.len());
-        let post_responses = responses.split_off(pre_len + 1);
-        let lead_response = responses.pop().expect("lead response present");
-        let pre_snapshot = self.bind_snapshot(
-            &pre.plan,
-            &pre.kinds,
-            &all[..pre_len],
-            pre.cached_user,
-            responses,
-            target,
-        );
-        let post_snapshot = self.bind_snapshot(
-            &post.plan,
-            &post.kinds,
-            &all[pre_len + 1..],
-            post.cached_user,
-            post_responses,
-            target,
-        );
-        (pre_snapshot, lead_response, post_snapshot)
-    }
-
-    /// Assemble every probe GET for `scope` up front so they can be
-    /// issued as one batch: a network-backed cloud serves the whole
-    /// snapshot over a single pooled keep-alive connection instead of
-    /// one TCP connect per probe.
-    fn assemble(&self, target: &ProbeTarget, scope: ProbeScope<'_>) -> AssembledProbes {
-        let plan = ProbePlan::new(scope, target);
+    /// Assemble every probe GET up front so they can be issued as one
+    /// batch: a network-backed cloud serves the whole snapshot over a
+    /// single pooled keep-alive connection instead of one TCP connect
+    /// per probe. Every probe the target's ids allow is planned, even
+    /// where two overlap: the project GET cross-checks the identity
+    /// registry against the block-storage state (the volumes listing
+    /// alone would also signal existence), and the volume item GET
+    /// catches a cloud that denies item reads while allowing listings.
+    fn assemble(&self, target: &ProbeTarget) -> AssembledProbes {
         let pid = target.project_id;
         let mut kinds: Vec<Probe> = Vec::with_capacity(7);
         let mut requests: Vec<RestRequest> = Vec::with_capacity(7);
-        let add =
-            |kinds: &mut Vec<Probe>, requests: &mut Vec<RestRequest>, kind: Probe, path: String| {
-                kinds.push(kind);
-                requests.push(
-                    RestRequest::new(HttpMethod::Get, path).auth_token(&target.monitor_token),
-                );
-            };
-        if plan.project {
-            add(
-                &mut kinds,
-                &mut requests,
-                Probe::Project,
-                format!("{}/{pid}", self.prefix),
-            );
-        }
-        if plan.volumes {
-            add(
-                &mut kinds,
-                &mut requests,
-                Probe::Volumes,
-                format!("{}/{pid}/volumes", self.prefix),
-            );
-        }
+        let mut add = |kind: Probe, path: String| {
+            kinds.push(kind);
+            requests
+                .push(RestRequest::new(HttpMethod::Get, path).auth_token(&target.monitor_token));
+        };
+        add(Probe::Project, format!("{}/{pid}", self.prefix));
+        add(Probe::Volumes, format!("{}/{pid}/volumes", self.prefix));
         if let Some(vid) = target.volume_id {
-            if plan.volume_item {
+            add(
+                Probe::VolumeItem,
+                format!("{}/{pid}/volumes/{vid}", self.prefix),
+            );
+            add(
+                Probe::Snapshots,
+                format!("{}/{pid}/volumes/{vid}/snapshots", self.prefix),
+            );
+            if let Some(sid) = target.snapshot_id {
                 add(
-                    &mut kinds,
-                    &mut requests,
-                    Probe::VolumeItem,
-                    format!("{}/{pid}/volumes/{vid}", self.prefix),
-                );
-            }
-            if plan.snapshots {
-                add(
-                    &mut kinds,
-                    &mut requests,
-                    Probe::Snapshots,
-                    format!("{}/{pid}/volumes/{vid}/snapshots", self.prefix),
-                );
-            }
-            if let Some(sid) = target.snapshot_id.filter(|_| plan.snapshot_item) {
-                add(
-                    &mut kinds,
-                    &mut requests,
                     Probe::SnapshotItem,
                     format!("{}/{pid}/volumes/{vid}/snapshots/{sid}", self.prefix),
                 );
             }
         }
-        if plan.quota {
-            add(
-                &mut kinds,
-                &mut requests,
-                Probe::Quota,
-                format!("{}/{pid}/quota_sets", self.prefix),
-            );
-        }
+        add(Probe::Quota, format!("{}/{pid}/quota_sets", self.prefix));
         // The user context rarely changes within a token's lifetime:
         // serve it from the identity cache when fresh and skip the
         // introspection round-trip.
-        let cached_user = if plan.user {
-            let cached = self.cached_identity(&target.user_token);
-            self.count_identity(cached.is_some());
-            cached
-        } else {
-            None
-        };
-        if plan.user && cached_user.is_none() {
+        let cached_user = self.cached_identity(&target.user_token);
+        self.count_identity(cached_user.is_some());
+        if cached_user.is_none() {
             add(
-                &mut kinds,
-                &mut requests,
                 Probe::User,
                 format!("/identity/tokens/{}", target.user_token),
             );
         }
         AssembledProbes {
-            plan,
             kinds,
             requests,
             cached_user,
@@ -700,14 +393,11 @@ impl StateProber {
     }
 
     /// Bind one snapshot's probe responses into an evaluation
-    /// environment. `requests` must align index-for-index with `kinds`
-    /// and `responses`.
+    /// environment. `responses` must align index-for-index with the
+    /// assembled probes.
     fn bind_snapshot(
         &self,
-        plan: &ProbePlan,
-        kinds: &[Probe],
-        requests: &[RestRequest],
-        cached_user: Option<Arc<RestResponse>>,
+        probes: AssembledProbes,
         responses: Vec<RestResponse>,
         target: &ProbeTarget,
     ) -> Snapshot {
@@ -725,13 +415,11 @@ impl StateProber {
         nav.set_variable("volume", volume.clone());
         let snapshot = ObjRef::new(Arc::clone(&SNAPSHOT_CLASS), target.snapshot_id.unwrap_or(0));
         nav.set_variable("snapshot", snapshot.clone());
-        if !plan.user {
-            nav.set_variable("user", ObjRef::new(Arc::clone(&USER_CLASS), 0));
-        } else if let Some(resp) = &cached_user {
+        if let Some(resp) = &probes.cached_user {
             bind_user(&mut nav, resp);
         }
 
-        for ((kind, request), resp) in kinds.iter().zip(requests).zip(responses) {
+        for ((kind, request), resp) in probes.kinds.iter().zip(&probes.requests).zip(responses) {
             // A response the transport synthesised (or a gateway status)
             // means this probe never reached the cloud: record the fault
             // and skip binding — a half-bound root would let a contract
@@ -764,21 +452,7 @@ impl StateProber {
             }
             match kind {
                 Probe::Project => bind_project(&mut nav, &project, pid, &resp),
-                Probe::Volumes => {
-                    // With the project GET elided, the listing's status
-                    // carries the existence signal `project.id` encodes.
-                    // When the project probe IS planned, it stays the
-                    // sole authority for the id binding.
-                    if !plan.project {
-                        let id = if resp.status == StatusCode::OK {
-                            Value::set(vec![Value::Int(pid as i64)])
-                        } else {
-                            Value::set(vec![])
-                        };
-                        nav.set_attribute(project.clone(), "id", id);
-                    }
-                    bind_volumes(&mut nav, project.clone(), &resp);
-                }
+                Probe::Volumes => bind_volumes(&mut nav, project.clone(), &resp),
                 Probe::VolumeItem => bind_volume_item(&mut nav, &volume, &resp),
                 Probe::Snapshots => bind_snapshots(&mut nav, volume.clone(), &resp),
                 Probe::SnapshotItem => bind_snapshot_item(&mut nav, &snapshot, &resp),
@@ -801,11 +475,10 @@ impl StateProber {
 }
 
 /// Probe requests assembled for one snapshot, before any of them is
-/// issued: the plan they follow, the probe kind and request at each
-/// batch index, and the identity-cache hit (if any) that stands in for
-/// an elided introspection probe.
+/// issued: the probe kind and request at each batch index, and the
+/// identity-cache hit (if any) that stands in for an elided
+/// introspection probe.
 struct AssembledProbes {
-    plan: ProbePlan,
     kinds: Vec<Probe>,
     requests: Vec<RestRequest>,
     cached_user: Option<Arc<RestResponse>>,
@@ -1200,10 +873,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod scoped_tests {
+mod count_tests {
     use super::*;
     use cm_cloudsim::PrivateCloud;
-    use cm_ocl::{parse, EvalContext};
 
     /// A counting wrapper so tests can assert how many probe requests a
     /// snapshot issues. Counts atomically — the prober only sees a shared
@@ -1254,99 +926,5 @@ mod scoped_tests {
         // project + volumes + volume item + snapshots listing + quota +
         // token introspection.
         assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn scoped_snapshot_skips_unreferenced_roots() {
-        let (cloud, target) = setup();
-        let prober = StateProber::default();
-        let snap = prober.snapshot_scoped(&cloud, &target, &["project".to_string()]);
-        assert!(snap.denials.is_empty());
-        assert!(!snap.is_partial());
-        let nav = snap.nav;
-        // Only project + volumes listing.
-        assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 2);
-        let e = parse("project.volumes->size() = 1").unwrap();
-        assert!(EvalContext::new(&nav).eval_bool(&e).unwrap());
-        // Out-of-scope roots are still *bound* (variables resolve) but
-        // attribute-free, so guards over them evaluate, not error.
-        let q = parse("quota_sets.volume.oclIsUndefined()").unwrap();
-        assert!(EvalContext::new(&nav).eval_bool(&q).unwrap());
-    }
-
-    #[test]
-    fn attr_scoped_snapshot_skips_unreferenced_attributes() {
-        let (cloud, target) = setup();
-        let prober = StateProber::default();
-        let scope = cm_ocl::AttrScope::new(
-            vec![
-                ("project".to_string(), "volumes".to_string()),
-                ("user".to_string(), "groups".to_string()),
-            ],
-            true,
-        );
-        let snap = prober.snapshot_attrs(&cloud, &target, &scope);
-        assert!(snap.denials.is_empty());
-        let nav = snap.nav;
-        // Volumes listing + token introspection only: no project GET, no
-        // volume item (the target names one!), no snapshots, no quota.
-        assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 2);
-        let e = parse("project.volumes->size() = 1 and user.groups = 'admin'").unwrap();
-        assert!(EvalContext::new(&nav).eval_bool(&e).unwrap());
-        // Unprobed attributes are undefined, not errors.
-        let q = parse("quota_sets.volume.oclIsUndefined()").unwrap();
-        assert!(EvalContext::new(&nav).eval_bool(&q).unwrap());
-    }
-
-    #[test]
-    fn attr_scope_on_volume_splits_item_from_snapshots_listing() {
-        let (cloud, target) = setup();
-        let prober = StateProber::default();
-        // Only volume.status: the volume item GET runs, the snapshots
-        // listing does not.
-        let scope =
-            cm_ocl::AttrScope::new(vec![("volume".to_string(), "status".to_string())], true);
-        let _ = prober.snapshot_attrs(&cloud, &target, &scope);
-        assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 1);
-
-        // Only volume.snapshots: the listing runs, the item GET does not.
-        let (cloud2, target2) = setup();
-        let scope2 =
-            cm_ocl::AttrScope::new(vec![("volume".to_string(), "snapshots".to_string())], true);
-        let nav = prober.snapshot_attrs(&cloud2, &target2, &scope2).nav;
-        assert_eq!(
-            cloud2.requests.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
-        let e = parse("volume.snapshots->size() = 0").unwrap();
-        assert!(EvalContext::new(&nav).eval_bool(&e).unwrap());
-    }
-
-    #[test]
-    fn attr_wildcard_scope_probes_the_whole_root() {
-        let (cloud, target) = setup();
-        let prober = StateProber::default();
-        let scope = cm_ocl::AttrScope::wildcard(&["volume".to_string()]);
-        let _ = prober.snapshot_attrs(&cloud, &target, &scope);
-        // Wildcard volume = item GET + snapshots listing, like Roots.
-        assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn scoped_snapshot_with_all_roots_equals_full() {
-        let (cloud, target) = setup();
-        let prober = StateProber::default();
-        let full = prober.snapshot(&cloud, &target);
-        let scoped = prober.snapshot_scoped(
-            &cloud,
-            &target,
-            &[
-                "project".to_string(),
-                "volume".to_string(),
-                "quota_sets".to_string(),
-                "user".to_string(),
-            ],
-        );
-        assert_eq!(full, scoped.nav);
     }
 }

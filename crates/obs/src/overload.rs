@@ -6,8 +6,8 @@
 //! control loop need them: the reactor's admission path classifies
 //! requests into a [`Lane`] and records sheds into [`OverloadStats`],
 //! while the monitor's brownout controller reads the same stats to
-//! decide when to shed *optional work* (speculative reads, anti-entropy
-//! cadence, per-group fsync) before the transport has to shed
+//! decide when to shed *optional work* (anti-entropy cadence,
+//! per-group fsync) before the transport has to shed
 //! *requests*. The [`BrownoutSignal`] is the one-word channel between
 //! them.
 
@@ -182,7 +182,7 @@ impl OverloadStats {
 }
 
 /// Highest rung of the brownout ladder.
-pub const BROWNOUT_MAX_STEP: u8 = 3;
+pub const BROWNOUT_MAX_STEP: u8 = 2;
 
 /// The brownout ladder's shared state: a single atomic step the
 /// monitor-side controller writes and every consumer of optional work
@@ -191,9 +191,8 @@ pub const BROWNOUT_MAX_STEP: u8 = 3;
 /// | step | optional work shed                                   |
 /// |------|------------------------------------------------------|
 /// | 0    | nothing — normal operation                           |
-/// | 1    | speculative safe-read sandwiching disabled           |
-/// | 2    | + anti-entropy reconciliation intervals stretched    |
-/// | 3    | + audit durability downgraded to flush-on-rotation   |
+/// | 1    | anti-entropy reconciliation intervals stretched      |
+/// | 2    | + audit durability downgraded to flush-on-rotation   |
 #[derive(Debug, Default)]
 pub struct BrownoutSignal {
     step: AtomicU8,
@@ -230,23 +229,17 @@ impl BrownoutSignal {
         self.transitions.load(Ordering::Relaxed)
     }
 
-    /// Step ≥ 1: skip speculative safe-read sandwiching.
+    /// Step ≥ 1: stretch scheduled anti-entropy intervals.
     #[must_use]
-    pub fn speculative_disabled(&self) -> bool {
+    pub fn anti_entropy_stretched(&self) -> bool {
         self.step() >= 1
     }
 
-    /// Step ≥ 2: stretch scheduled anti-entropy intervals.
-    #[must_use]
-    pub fn anti_entropy_stretched(&self) -> bool {
-        self.step() >= 2
-    }
-
-    /// Step ≥ 3: audit commits may skip the per-group fsync (rotation
+    /// Step ≥ 2: audit commits may skip the per-group fsync (rotation
     /// still always syncs).
     #[must_use]
     pub fn audit_relaxed(&self) -> bool {
-        self.step() >= 3
+        self.step() >= 2
     }
 
     /// Exposition block for `/-/health` / `/-/metrics`.
@@ -262,7 +255,6 @@ impl BrownoutSignal {
                 "sheds",
                 Json::Array(
                     [
-                        (self.speculative_disabled(), "speculative_reads"),
                         (self.anti_entropy_stretched(), "anti_entropy_cadence"),
                         (self.audit_relaxed(), "audit_group_fsync"),
                     ]
@@ -324,21 +316,20 @@ mod tests {
     fn brownout_ladder_is_cumulative_and_counts_transitions() {
         let signal = BrownoutSignal::new();
         assert_eq!(signal.step(), 0);
-        assert!(!signal.speculative_disabled());
-        signal.set_step(1);
-        assert!(signal.speculative_disabled());
         assert!(!signal.anti_entropy_stretched());
-        signal.set_step(3);
-        assert!(signal.speculative_disabled());
+        signal.set_step(1);
+        assert!(signal.anti_entropy_stretched());
+        assert!(!signal.audit_relaxed());
+        signal.set_step(2);
         assert!(signal.anti_entropy_stretched());
         assert!(signal.audit_relaxed());
-        signal.set_step(3); // no-op: not a transition
+        signal.set_step(2); // no-op: not a transition
         signal.set_step(0);
         assert_eq!(signal.transitions(), 3);
         signal.set_step(BROWNOUT_MAX_STEP + 5);
         assert_eq!(signal.step(), BROWNOUT_MAX_STEP);
         let json = signal.render_json();
-        assert_eq!(json.get("step").unwrap().as_int(), Some(3));
-        assert_eq!(json.get("sheds").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(json.get("step").unwrap().as_int(), Some(2));
+        assert_eq!(json.get("sheds").unwrap().as_array().unwrap().len(), 2);
     }
 }

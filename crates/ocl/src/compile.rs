@@ -214,7 +214,7 @@ impl Program {
 
     /// Whether [`Program::attr_refs`] is a *complete* account of state
     /// reads. `let` bindings can alias objects past the analysis, in which
-    /// case scoped snapshots must fall back to whole-root probing.
+    /// case a scope must fall back to whole-root wildcards.
     #[must_use]
     pub fn exact_scope(&self) -> bool {
         self.exact_scope
@@ -732,30 +732,15 @@ impl<'a> EnvView<'a> {
     }
 }
 
-/// Attribute-level snapshot scope: the `(root, attribute)` pairs a
-/// contract phase may read, resolved to names. The probe layer consults
-/// this to decide which snapshot requests to issue. The wildcard
-/// attribute `"*"` marks a whole root as needed (the fallback when the
+/// Attribute-level read scope: the `(root, attribute)` pairs a contract
+/// phase may read, resolved to names. Drift attribution consults this to
+/// find the contracts a drifted attribute affects. The wildcard
+/// attribute `"*"` marks a whole root as read (the fallback when the
 /// compile-time analysis was inexact).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttrScope {
     pairs: Vec<(String, String)>,
     exact: bool,
-    /// Per-root index precomputed at construction (i.e. at contract
-    /// compile time): sorted by root name, each entry carrying the
-    /// root's wildcard flag and its sorted attribute list. Scope queries
-    /// on the probe hot path binary-search this instead of scanning the
-    /// full pair list per attribute.
-    roots: Vec<RootAttrs>,
-}
-
-/// One root's slice of an [`AttrScope`]: its sorted attributes and
-/// whether the wildcard `"*"` marked the whole root as needed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct RootAttrs {
-    root: String,
-    wildcard: bool,
-    attrs: Vec<String>,
 }
 
 impl AttrScope {
@@ -765,36 +750,7 @@ impl AttrScope {
     pub fn new(mut pairs: Vec<(String, String)>, exact: bool) -> Self {
         pairs.sort();
         pairs.dedup();
-        let mut roots: Vec<RootAttrs> = Vec::new();
-        for (root, attr) in &pairs {
-            // `pairs` is sorted by root, so each root's entry is built
-            // contiguously and `roots` stays sorted by root name.
-            if roots.last().map(|e| e.root.as_str()) != Some(root.as_str()) {
-                roots.push(RootAttrs {
-                    root: root.clone(),
-                    wildcard: false,
-                    attrs: Vec::new(),
-                });
-            }
-            let entry = roots.last_mut().expect("entry just pushed");
-            if attr == "*" {
-                entry.wildcard = true;
-            } else {
-                entry.attrs.push(attr.clone());
-            }
-        }
-        AttrScope {
-            pairs,
-            exact,
-            roots,
-        }
-    }
-
-    fn root_entry(&self, root: &str) -> Option<&RootAttrs> {
-        self.roots
-            .binary_search_by(|e| e.root.as_str().cmp(root))
-            .ok()
-            .map(|i| &self.roots[i])
+        AttrScope { pairs, exact }
     }
 
     /// Whole-root wildcard scope (used when the analysis is inexact).
@@ -809,25 +765,9 @@ impl AttrScope {
     /// Does the scope require `root.attr`?
     #[must_use]
     pub fn contains(&self, root: &str, attr: &str) -> bool {
-        self.root_entry(root).is_some_and(|e| {
-            e.wildcard || e.attrs.binary_search_by(|a| a.as_str().cmp(attr)).is_ok()
-        })
-    }
-
-    /// Does the scope require any attribute of `root`?
-    #[must_use]
-    pub fn mentions_root(&self, root: &str) -> bool {
-        self.root_entry(root).is_some()
-    }
-
-    /// Does the scope require any attribute of `root` besides
-    /// `excluded`? (The probe layer asks this to split a root whose
-    /// attributes come from different REST requests, e.g. the volume
-    /// item GET vs. the snapshots listing.)
-    #[must_use]
-    pub fn contains_other_than(&self, root: &str, excluded: &str) -> bool {
-        self.root_entry(root)
-            .is_some_and(|e| e.wildcard || e.attrs.iter().any(|a| a != excluded))
+        self.pairs
+            .iter()
+            .any(|(r, a)| r == root && (a == attr || a == "*"))
     }
 
     /// The sorted `(root, attribute)` pairs.
@@ -1378,8 +1318,8 @@ mod tests {
         );
         assert!(scope.contains("project", "volumes"));
         assert!(!scope.contains("project", "id"));
-        assert!(scope.mentions_root("user"));
-        assert!(!scope.mentions_root("quota_sets"));
+        assert!(scope.contains("user", "groups"));
+        assert!(!scope.contains("quota_sets", "volume"));
         let wild = AttrScope::wildcard(&["volume".to_string()]);
         assert!(wild.contains("volume", "anything"));
         assert!(!wild.is_exact());

@@ -625,41 +625,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Differential oracle for the compile pipeline: on arbitrary request
-    /// scripts against the extended Cinder scenario (volume + snapshot
-    /// state machines), a monitor evaluating the interned compiled
-    /// programs and one tree-walking the contract ASTs must produce
-    /// identical verdicts, exercised requirement ids, statuses, and
-    /// diagnostics at every step.
+    /// Differential oracle for the compile pipeline, at the contract
+    /// layer: an arbitrary request script against the extended Cinder
+    /// scenario (volume + snapshot state machines) is applied to the
+    /// cloud, with the pre- and post-state environments probed around
+    /// each request. On those environments the tree-walking interpreter
+    /// and the interned compiled programs of the request's contract must
+    /// agree on the pre-condition, the exercised requirement ids, the
+    /// post-condition, and the matching model states.
     #[test]
     fn compiled_pipeline_matches_interpreter(
-        plan in prop::collection::vec((0usize..6, any::<bool>()), 1..12),
+        plan in prop::collection::vec((0usize..8, any::<bool>()), 1..12),
     ) {
         use cm_cloudsim::PrivateCloud;
-        use cm_core::{cinder_monitor_extended, CloudMonitor, EvalStrategy, Mode};
-        use cm_model::HttpMethod;
-        use cm_rest::RestRequest;
-
-        fn fixture(
-            strategy: EvalStrategy,
-        ) -> (CloudMonitor<PrivateCloud>, u64, u64, u64, String, String) {
-            let cloud = PrivateCloud::my_project();
-            let pid = cloud.project_id();
-            let vid = cloud
-                .state_mut()
-                .create_volume(pid, "seed", 1, false)
-                .unwrap()
-                .id;
-            let sid = cloud.state_mut().create_snapshot(pid, vid, "s").unwrap().id;
-            let admin = cloud.issue_token("alice", "alice-pw").unwrap().token;
-            let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
-            let mut monitor = cinder_monitor_extended(cloud)
-                .unwrap()
-                .mode(Mode::Observe)
-                .eval_strategy(strategy);
-            monitor.authenticate("alice", "alice-pw").unwrap();
-            (monitor, pid, vid, sid, admin, carol)
-        }
+        use cm_core::{cinder_monitor_extended, ProbeTarget, StateProber};
+        use cm_model::{HttpMethod, Trigger};
+        use cm_ocl::{EnvView, EvalScratch};
+        use cm_rest::{Resolution, RestRequest, SharedRestService};
 
         fn request(op: usize, pid: u64, vid: u64, sid: u64, token: &str) -> RestRequest {
             let base = match op {
@@ -683,30 +665,109 @@ proptest! {
                     HttpMethod::Get,
                     format!("/v3/{pid}/volumes/{vid}/snapshots/{sid}"),
                 ),
-                _ => RestRequest::new(
+                5 => RestRequest::new(
                     HttpMethod::Delete,
                     format!("/v3/{pid}/volumes/{vid}/snapshots/{sid}"),
                 ),
+                6 => RestRequest::new(HttpMethod::Put, format!("/v3/{pid}/volumes/{vid}")).json(
+                    Json::object(vec![(
+                        "volume",
+                        Json::object(vec![("name", Json::Str("renamed".into()))]),
+                    )]),
+                ),
+                // A volume that never existed.
+                _ => RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/999")),
             };
             base.auth_token(token)
         }
 
-        let (compiled, pid, vid, sid, admin, carol) = fixture(EvalStrategy::Compiled);
-        let (interp, _, _, _, _, _) = fixture(EvalStrategy::Interpreter);
+        let cloud = PrivateCloud::my_project();
+        let pid = cloud.project_id();
+        let vid = cloud
+            .state_mut()
+            .create_volume(pid, "seed", 1, false)
+            .unwrap()
+            .id;
+        let sid = cloud.state_mut().create_snapshot(pid, vid, "s").unwrap().id;
+        let admin = cloud.issue_token("alice", "alice-pw").unwrap().token;
+        let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
+        // Only the generated artefacts are used: routes, the interpreter
+        // contract set, and its compiled counterpart.
+        let generated = cinder_monitor_extended(PrivateCloud::my_project()).unwrap();
+        let contracts = generated.contracts();
+        let compiled = generated.compiled_contracts();
+        let syms = compiled.symbols();
+        let prober = StateProber::default();
+        let mut scratch = EvalScratch::new();
         for (op, as_admin) in plan {
             let token = if as_admin { &admin } else { &carol };
             let req = request(op, pid, vid, sid, token);
-            let a = compiled.process(&req);
-            let b = interp.process(&req);
-            prop_assert_eq!(a.verdict, b.verdict, "verdict diverged on {:?}", &req);
+            // The same route → trigger → probe target mapping the monitor
+            // applies.
+            let Resolution::Matched { route, params } =
+                generated.routes().resolve(req.method, &req.path)
+            else {
+                panic!("unrouted request {req:?}");
+            };
+            let trigger = Trigger::new(req.method, route.trigger_resource(req.method));
+            let idx = compiled.index_for(&trigger).expect("modelled trigger");
+            let (mc, cc) = (&contracts.contracts[idx], &compiled.contracts()[idx]);
+            let id = |name: &str| params.get(name).and_then(|v| v.parse::<u64>().ok());
+            let target = ProbeTarget {
+                project_id: pid,
+                volume_id: id("volume_id"),
+                snapshot_id: id("snapshot_id"),
+                user_token: token.clone(),
+                monitor_token: admin.clone(),
+            };
+            let pre = prober.snapshot(&cloud, &target);
+            cloud.call(&req);
+            let post = prober.snapshot(&cloud, &target);
+            let pre_view = EnvView::from_navigator(&pre, syms);
+            let post_view = EnvView::from_navigator(&post, syms);
+
+            cc.begin_pre(&mut scratch);
             prop_assert_eq!(
-                &a.requirements, &b.requirements,
+                cc.evaluate_pre(syms, &pre_view, &mut scratch).ok(),
+                mc.evaluate_pre(&pre).ok(),
+                "pre diverged on {:?}", &req
+            );
+            let compiled_reqs = cc
+                .enabled_clause_indices(syms, &pre_view, &mut scratch)
+                .map(|idxs| {
+                    let mut out: Vec<String> = Vec::new();
+                    for i in idxs {
+                        for r in &mc.clauses[i].security_requirements {
+                            if !out.contains(r) {
+                                out.push(r.clone());
+                            }
+                        }
+                    }
+                    out
+                });
+            prop_assert_eq!(
+                compiled_reqs.ok(),
+                mc.exercised_requirements(&pre).ok(),
                 "requirements diverged on {:?}", &req
             );
-            prop_assert_eq!(a.response.status, b.response.status);
-            let da = compiled.log().last().unwrap().diagnostics.clone();
-            let db = interp.log().last().unwrap().diagnostics.clone();
-            prop_assert_eq!(da, db, "diagnostics diverged on {:?}", &req);
+            cc.begin_post(&mut scratch);
+            prop_assert_eq!(
+                cc.evaluate_post(syms, &post_view, &pre_view, &mut scratch).ok(),
+                mc.evaluate_post(&post, &pre).ok(),
+                "post diverged on {:?}", &req
+            );
+            let compiled_states = cc
+                .matching_state_indices_post(syms, &post_view, &pre_view, &mut scratch)
+                .map(|idxs| {
+                    idxs.iter()
+                        .map(|&i| compiled.state_names()[i].clone())
+                        .collect::<Vec<_>>()
+                });
+            prop_assert_eq!(
+                compiled_states.ok(),
+                contracts.states_matching(&post).ok(),
+                "states diverged on {:?}", &req
+            );
         }
     }
 }
@@ -717,14 +778,14 @@ proptest! {
     /// Differential oracle for the shadow replica: on arbitrary request
     /// scripts against the extended Cinder scenario, a monitor binding
     /// the OCL environment from the model-derived replica (probing only
-    /// to seed and on anti-entropy passes) and one probing a scoped
-    /// snapshot for every request must produce identical verdicts,
+    /// to seed and on anti-entropy passes) and one probing the full
+    /// snapshot around every request must produce identical verdicts,
     /// exercised requirement ids, and statuses at every step — and the
     /// replica side, with no out-of-band edits, must never report
     /// drift. The anti-entropy period is part of the generated input so
     /// scheduled reconciliation passes interleave with the script.
     #[test]
-    fn replica_matches_scoped_snapshots(
+    fn replica_matches_full_snapshots(
         plan in prop::collection::vec((0usize..6, any::<bool>()), 1..12),
         anti_entropy_every in 0u64..5,
     ) {
@@ -788,12 +849,12 @@ proptest! {
 
         let (replica, pid, vid, sid, admin, carol) =
             fixture(SnapshotPolicy::Replica, anti_entropy_every);
-        let (scoped, _, _, _, _, _) = fixture(SnapshotPolicy::Scoped, 0);
+        let (full, _, _, _, _, _) = fixture(SnapshotPolicy::Full, 0);
         for (op, as_admin) in plan {
             let token = if as_admin { &admin } else { &carol };
             let req = request(op, pid, vid, sid, token);
             let a = replica.process(&req);
-            let b = scoped.process(&req);
+            let b = full.process(&req);
             prop_assert_eq!(a.verdict, b.verdict, "verdict diverged on {:?}", &req);
             prop_assert_eq!(
                 &a.requirements, &b.requirements,

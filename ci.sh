@@ -8,8 +8,8 @@
 # battery runs (fmt clippy build test docs features smoke). The legacy
 # flag spellings remain as aliases for core-plus-stage:
 #
-#   ./ci.sh --stress     core + concurrency soak battery (debug: shard
-#                        invariants live via debug_assert!; release: the
+#   ./ci.sh --stress     core + concurrency soak battery (debug: debug
+#                        assertions live; release: the
 #                        timing-sensitive profile the servers run in)
 #   ./ci.sh --chaos      core + transport-chaos battery (seeded fault
 #                        injection, breaker-flap ledger, recovery smoke)
@@ -41,7 +41,8 @@ stages (run exactly what is named, in the order given, deduplicated):
   chaos      transport-chaos battery (fault soak, flap ledger, recovery smoke)
   campaign   kill-matrix campaign vs committed baseline + static RBAC lint
   audit      durable-log battery (SIGKILL crash recovery, proptest framing
-             corruption, differential replay, streaming tail)
+             corruption, differential replay, replay-vs-live property
+             over the mutant catalog, streaming tail)
   replica    shadow-replica battery (drift detection, anti-entropy chaos,
              replica/full differential property, bench smoke)
   overload   overload-control battery (shed storm, admin-lane immunity,
@@ -129,7 +130,7 @@ stage_smoke() {
 }
 
 stage_stress() {
-  step "stress: concurrency soak (debug, shard debug_asserts active)"
+  step "stress: concurrency soak (debug, debug assertions active)"
   cargo test --offline --test concurrent_monitor -q
 
   step "stress: concurrency soak (release)"
@@ -187,6 +188,9 @@ stage_audit() {
 
   step "audit: differential replay against current and mutated contracts"
   cargo test --offline --test audit_replay -q
+
+  step "audit: replay matches live over the mutant catalog (proptest)"
+  cargo test --offline --features proptest --test proptests -q replay_matches_live
 
   step "audit: streaming tail (bounded lag, resume cursor)"
   cargo test --offline --test audit_stream -q

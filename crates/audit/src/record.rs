@@ -40,12 +40,14 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 /// Bytes of frame overhead in front of every payload (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
-/// The monitor mode a record was taken under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The monitoring mode (the paper's user stories, Section III-B), as the
+/// monitor runs under it and as each record carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MonitorMode {
-    /// Blocking proxy (Figure 2).
+    /// Block contract-violating requests (Figure 2 proxy).
+    #[default]
     Enforce,
-    /// Forward-and-classify test oracle.
+    /// Forward everything and classify (test oracle).
     Observe,
 }
 
@@ -58,42 +60,55 @@ impl MonitorMode {
     }
 }
 
-/// Structured verdict, mirroring `cm_core::Verdict` without the
-/// dependency (cm-core sits *above* this crate).
+/// The monitor's judgement of one request. cm-core re-exports it as
+/// `cm_core::Verdict`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerdictCode {
     /// Contract satisfied (or correctly denied request).
     Pass,
-    /// Outside the behavioural model.
+    /// The URI/method is not part of the behavioural model; forwarded
+    /// unchecked.
     NotModelled,
-    /// Blocked by the enforce-mode pre-check.
+    /// Enforce mode: pre-condition failed, request blocked before the
+    /// cloud saw it.
     PreBlocked,
-    /// Unauthorized/disallowed request succeeded.
+    /// The pre-condition was false yet the cloud accepted — a wrong
+    /// authorization (privilege escalation) or missing functional check.
     WrongAcceptance,
-    /// Authorized request denied.
+    /// The pre-condition was true yet the cloud denied — an authorized
+    /// user was prevented from accessing the resource.
     WrongDenial,
-    /// Post-condition failed.
+    /// Pre passed and the cloud accepted, but the post-condition failed
+    /// (state not updated as specified).
     PostViolation,
-    /// Unexpected success status.
+    /// The cloud answered with an unexpected success code.
     WrongStatus {
-        /// Status the uniform interface specifies.
+        /// Code the uniform interface specifies for this method.
         expected: u16,
-        /// Status the cloud sent.
+        /// Code the cloud actually sent.
         actual: u16,
     },
-    /// Contract evaluation failed.
+    /// Contract evaluation itself failed (modelling/environment error).
     ContractError,
-    /// Transport prevented checking; explicitly not a violation.
+    /// The monitor could not *check* the request: the transport to the
+    /// cloud failed (snapshot probes undeliverable, or the forward
+    /// itself came back as a marked gateway fault), or the transport
+    /// shed it under overload. Explicitly not a violation — the cloud's
+    /// contract compliance was never observed. The untestable
+    /// security-requirement ids travel with the verdict, preserving
+    /// Table-I traceability.
     Degraded,
-    /// Anti-entropy reconciliation found the shadow replica diverged
-    /// from the cloud: out-of-band mutation bypassed the monitor. Not a
-    /// request violation — the monitored request itself was judged
-    /// separately.
+    /// An anti-entropy reconciliation pass found the cloud's state
+    /// diverged from the shadow replica: something mutated the cloud
+    /// **out of band**, bypassing the monitored path. Not a request
+    /// violation (the request it piggybacked on was judged separately)
+    /// but a detection the paper's probing monitor cannot make explicit.
     Drift,
 }
 
 impl VerdictCode {
-    /// The label `cm_core::Verdict::Display` renders for this verdict.
+    /// The stable label `Display` renders; `/-/metrics` and the event
+    /// stream count verdicts by it.
     #[must_use]
     pub fn label(&self) -> String {
         match self {

@@ -2,10 +2,12 @@
 //! suite on the correct cloud through one shared monitor and print the
 //! coverage report the paper's security expert would inspect.
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::PrivateCloud;
 use cm_core::{cinder_monitor, Mode, TestOracle};
 use cm_model::HttpMethod;
-use cm_rest::{RestRequest, RestService};
+use cm_rest::{RestRequest, RestService, StatusCode};
+use std::sync::Arc;
 
 fn main() {
     println!("SECURITY-REQUIREMENT COVERAGE OBSERVATION");
@@ -22,9 +24,11 @@ fn main() {
             ((*u).to_string(), t.token)
         })
         .collect();
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = cinder_monitor(cloud)
         .expect("generates")
-        .mode(Mode::Enforce);
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").expect("fixture");
 
     let alice = tokens[0].1.clone();
@@ -54,10 +58,13 @@ fn main() {
     print!("{}", monitor.coverage());
     println!();
     println!("request log:");
-    for r in monitor.log() {
+    for r in recorder.records() {
         println!(
             "  {} {:<28} -> {} [{}]",
-            r.method, r.path, r.status, r.verdict
+            r.method,
+            r.path,
+            StatusCode(r.status),
+            r.verdict
         );
     }
     println!();

@@ -6,7 +6,7 @@
 //! exercised and how often a violation verdict was recorded while it was
 //! in play.
 
-use crate::monitor::MonitorRecord;
+use crate::monitor::Verdict;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -121,14 +121,14 @@ impl CoverageTracker {
         cell
     }
 
-    /// Record one monitor log entry.
-    pub fn record(&self, record: &MonitorRecord) {
+    /// Record one request's verdict and the requirements it exercised.
+    pub fn record(&self, verdict: &Verdict, requirements: &[String]) {
         self.total_requests.fetch_add(1, Ordering::Relaxed);
-        let violation = record.verdict.is_violation();
+        let violation = verdict.is_violation();
         if violation {
             self.total_violations.fetch_add(1, Ordering::Relaxed);
         }
-        for req in &record.requirements {
+        for req in requirements {
             let cell = self.cell(req);
             cell.exercised.fetch_add(1, Ordering::Relaxed);
             if violation {
@@ -212,28 +212,12 @@ impl fmt::Display for CoverageTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::Verdict;
-    use cm_model::{HttpMethod, Trigger};
-    use cm_rest::StatusCode;
-
-    fn record(reqs: &[&str], verdict: Verdict) -> MonitorRecord {
-        MonitorRecord {
-            seq: 0,
-            method: HttpMethod::Delete,
-            path: "/v3/1/volumes/1".into(),
-            trigger: Some(Trigger::new(HttpMethod::Delete, "volume")),
-            verdict,
-            requirements: reqs.iter().map(|s| s.to_string()).collect(),
-            status: StatusCode::NO_CONTENT,
-            diagnostics: String::new(),
-        }
-    }
 
     #[test]
     fn tracks_exercised_and_violations() {
         let t = CoverageTracker::new(&["1.1".into(), "1.4".into()]);
-        t.record(&record(&["1.4"], Verdict::Pass));
-        t.record(&record(&["1.4"], Verdict::WrongAcceptance));
+        t.record(&Verdict::Pass, &["1.4".to_string()]);
+        t.record(&Verdict::WrongAcceptance, &["1.4".to_string()]);
         assert_eq!(t.requirement("1.4").unwrap().exercised, 2);
         assert_eq!(t.requirement("1.4").unwrap().violations, 1);
         assert_eq!(t.total_requests(), 2);
@@ -245,7 +229,7 @@ mod tests {
     #[test]
     fn unknown_requirements_are_added() {
         let t = CoverageTracker::new(&[]);
-        t.record(&record(&["9.9"], Verdict::Pass));
+        t.record(&Verdict::Pass, &["9.9".to_string()]);
         assert_eq!(t.requirement("9.9").unwrap().exercised, 1);
         assert!((t.coverage_ratio() - 1.0).abs() < 1e-9);
     }
@@ -253,7 +237,7 @@ mod tests {
     #[test]
     fn display_mentions_each_requirement() {
         let t = CoverageTracker::new(&["1.1".into()]);
-        t.record(&record(&["1.1"], Verdict::PostViolation));
+        t.record(&Verdict::PostViolation, &["1.1".to_string()]);
         let text = t.to_string();
         assert!(text.contains("SecReq 1.1"));
         assert!(text.contains("1 violation"));

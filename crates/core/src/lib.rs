@@ -48,7 +48,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod coverage;
-pub mod model_probe;
+mod judge;
 pub mod monitor;
 pub mod oracle;
 pub mod probe;
@@ -56,11 +56,10 @@ pub mod replay;
 pub mod replica;
 
 pub use coverage::{CoverageTracker, RequirementCoverage};
-pub use model_probe::ModelProber;
 pub use monitor::{
     cinder_monitor, cinder_monitor_extended, expected_success_status, BrownoutConfig,
     BrownoutController, CloudMonitor, DegradedPolicy, Mode, MonitorBuildError, MonitorOutcome,
-    MonitorRecord, SnapshotPolicy, Verdict, ANTI_ENTROPY_STRETCH, DEFAULT_EVENT_CAPACITY,
+    SnapshotPolicy, Verdict, ANTI_ENTROPY_STRETCH, DEFAULT_EVENT_CAPACITY,
 };
 pub use oracle::{OracleReport, ScenarioResult, TestOracle};
 pub use probe::{ProbeFault, ProbeTarget, Snapshot, StateProber, DEFAULT_IDENTITY_CAP};

@@ -21,11 +21,10 @@
 //!   kills the Section VI-D mutants.
 
 use crate::coverage::CoverageTracker;
+use crate::judge::{self, Decision, Judge, PostState};
 use crate::probe::{ProbeTarget, StateProber};
 use crate::replica::{DriftEntry, ProjectReplica};
-use cm_audit::{
-    AuditRecord, AuditRecorder, EnvProvenance, EnvSnapshot, MonitorMode, ReplayContext, VerdictCode,
-};
+use cm_audit::{AuditRecord, AuditRecorder, EnvProvenance, EnvSnapshot, ReplayContext};
 use cm_contracts::{generate_with, CompiledContractSet, ContractSet, GenerateOptions};
 use cm_httpkit::ShedDecision;
 use cm_model::{BehavioralModel, HttpMethod, ResourceModel, Trigger};
@@ -45,11 +44,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+/// The monitor's verdict and mode are the audit record's: one enum each,
+/// so a record carries exactly what the monitor decided.
+pub use cm_audit::{MonitorMode as Mode, VerdictCode as Verdict};
+
 /// Lock a shard mutex, recovering from poisoning: one panicking request
 /// (e.g. a handler bug surfaced mid-`process`) must not wedge every
 /// later request that hashes to the same shard. The shard state a
-/// panicked request leaves behind is append-only records plus reusable
-/// scratch that every evaluation re-initialises, so recovery is safe.
+/// panicked request leaves behind is reusable scratch that every
+/// evaluation re-initialises, so recovery is safe.
 fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -57,7 +60,7 @@ fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Events retained by the default ring-buffer sink.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// Log shards. Requests for the same project always land on the same
+/// Monitor shards. Requests for the same project always land on the same
 /// shard (serializing the snapshot→forward→snapshot protocol per
 /// resource); requests for different projects almost always land on
 /// different shards and proceed in parallel.
@@ -70,66 +73,17 @@ const MONITOR_SHARDS: usize = 16;
 /// on-demand reconciliation (after an uncertainty) is untouched.
 pub const ANTI_ENTROPY_STRETCH: u64 = 4;
 
-/// Accumulates observability facts while a request moves through
-/// [`CloudMonitor::process`]; folded into a [`MonitorEvent`] (and, when
-/// an audit recorder is attached, an [`AuditRecord`]) at the end.
+/// What [`CloudMonitor::process`] learns about a request besides its
+/// decision: the labels and phase timings its event carries, and any
+/// drift an anti-entropy pass found on the way.
 #[derive(Debug, Default)]
 struct ObsScratch {
     timings: PhaseTimings,
     route: Option<String>,
+    trigger: Option<Trigger>,
     contract: Option<String>,
-    /// Capture replay environments? Set iff an audit recorder is
-    /// attached — snapshot serialization is not free.
-    audit: bool,
-    /// Branch taken, for the non-contract-checked paths.
-    ctx: Option<CtxSpecial>,
-    /// Serialized pre-state (contract-checked path, audit only).
-    pre_env: Option<EnvSnapshot>,
-    /// Serialized post-state, when one was observed completely.
-    post_env: Option<EnvSnapshot>,
-    /// A post snapshot was attempted but came back partial.
-    post_partial: bool,
-    /// Gated probe denials (post scope filtering).
-    probe_denials: Vec<String>,
-    /// Whether the request reached the cloud.
-    forwarded: bool,
-    /// Status the cloud answered, before any enforce-mode rewrite.
-    cloud_status: Option<u16>,
-    /// Environments were served from the shadow replica (zero probes);
-    /// recorded as audit provenance so replay re-judges the trace under
-    /// the same trust model.
-    replica_env: bool,
-    /// An anti-entropy pass piggybacked on this request found the cloud
-    /// diverged from the replica; emitted as a second, Drift record.
-    drift: Option<DriftReport>,
-}
-
-/// The outcome of one anti-entropy reconciliation that found drift.
-#[derive(Debug)]
-struct DriftReport {
-    /// `root.attr` pairs that diverged.
-    attributes: Vec<String>,
-    /// Human-readable replica-vs-cloud details.
-    details: String,
-    /// Security requirements whose contracts read a drifted attribute.
-    requirements: Vec<String>,
-}
-
-/// The non-contract-checked branches of `process_inner`, recorded for
-/// replay; the contract-checked path is reconstructed from the
-/// environment captures instead.
-#[derive(Debug)]
-enum CtxSpecial {
-    Unmodelled,
-    MethodNotAllowed {
-        enforced: bool,
-    },
-    BadTarget,
-    DegradedPre {
-        forwarded: bool,
-        faults: Vec<String>,
-    },
-    DegradedForward,
+    /// The drift record an anti-entropy pass on the way produced.
+    drift: Option<(Decision, ReplayContext)>,
 }
 
 /// Run `f`, adding its wall-clock duration to `slot`.
@@ -160,113 +114,6 @@ pub enum SnapshotPolicy {
     /// out-of-band cloud mutation as [`Verdict::Drift`]. `Full` is
     /// kept as the differential oracle.
     Replica,
-}
-
-/// Monitoring mode; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Block contract-violating requests (Figure 2 proxy).
-    #[default]
-    Enforce,
-    /// Forward everything and classify (test oracle).
-    Observe,
-}
-
-/// The monitor's judgement of one request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Contract satisfied (or correctly denied request).
-    Pass,
-    /// The URI/method is not part of the behavioural model; forwarded
-    /// unchecked.
-    NotModelled,
-    /// Enforce mode: pre-condition failed, request blocked before the
-    /// cloud saw it.
-    PreBlocked,
-    /// The pre-condition was false yet the cloud accepted — a wrong
-    /// authorization (privilege escalation) or missing functional check.
-    WrongAcceptance,
-    /// The pre-condition was true yet the cloud denied — an authorized
-    /// user was prevented from accessing the resource.
-    WrongDenial,
-    /// Pre passed and the cloud accepted, but the post-condition failed
-    /// (state not updated as specified).
-    PostViolation,
-    /// The cloud answered with an unexpected success code.
-    WrongStatus {
-        /// Code the uniform interface specifies for this method.
-        expected: u16,
-        /// Code the cloud actually sent.
-        actual: u16,
-    },
-    /// Contract evaluation itself failed (modelling/environment error).
-    ContractError,
-    /// The monitor could not *check* the request: the transport to the
-    /// cloud failed (snapshot probes undeliverable, or the forward
-    /// itself came back as a marked gateway fault). Explicitly not a
-    /// violation — the cloud's contract compliance was never observed.
-    /// The untestable security-requirement ids travel in the outcome's
-    /// `requirements`, preserving Table-I traceability.
-    Degraded,
-    /// An anti-entropy reconciliation pass found the cloud's state
-    /// diverged from the shadow replica: something mutated the cloud
-    /// **out of band**, bypassing the monitored path. Not a request
-    /// violation (the request it piggybacked on was judged separately)
-    /// but a detection the paper's probing monitor cannot make explicit.
-    Drift,
-}
-
-impl Verdict {
-    /// True for verdicts that indicate a fault in the cloud implementation.
-    #[must_use]
-    pub fn is_violation(&self) -> bool {
-        matches!(
-            self,
-            Verdict::WrongAcceptance
-                | Verdict::WrongDenial
-                | Verdict::PostViolation
-                | Verdict::WrongStatus { .. }
-        )
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Pass => write!(f, "pass"),
-            Verdict::NotModelled => write!(f, "not-modelled"),
-            Verdict::PreBlocked => write!(f, "pre-blocked"),
-            Verdict::WrongAcceptance => write!(f, "wrong-acceptance"),
-            Verdict::WrongDenial => write!(f, "wrong-denial"),
-            Verdict::PostViolation => write!(f, "post-violation"),
-            Verdict::WrongStatus { expected, actual } => {
-                write!(f, "wrong-status(expected {expected}, got {actual})")
-            }
-            Verdict::ContractError => write!(f, "contract-error"),
-            Verdict::Degraded => write!(f, "degraded"),
-            Verdict::Drift => write!(f, "drift"),
-        }
-    }
-}
-
-impl From<&Verdict> for VerdictCode {
-    fn from(verdict: &Verdict) -> VerdictCode {
-        match verdict {
-            Verdict::Pass => VerdictCode::Pass,
-            Verdict::NotModelled => VerdictCode::NotModelled,
-            Verdict::PreBlocked => VerdictCode::PreBlocked,
-            Verdict::WrongAcceptance => VerdictCode::WrongAcceptance,
-            Verdict::WrongDenial => VerdictCode::WrongDenial,
-            Verdict::PostViolation => VerdictCode::PostViolation,
-            Verdict::WrongStatus { expected, actual } => VerdictCode::WrongStatus {
-                expected: *expected,
-                actual: *actual,
-            },
-            Verdict::ContractError => VerdictCode::ContractError,
-            Verdict::Degraded => VerdictCode::Degraded,
-            Verdict::Drift => VerdictCode::Drift,
-        }
-    }
 }
 
 /// What the monitor does when it cannot take a checked decision because
@@ -307,31 +154,6 @@ impl DegradedPolicy {
     }
 }
 
-/// One line of the monitor's log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorRecord {
-    /// Global sequence number, assigned when the request is admitted to
-    /// its log shard (i.e. at snapshot time, while the shard lock is
-    /// held) — not when the record is appended. Within a shard, seq order
-    /// is processing order, so sorting the merged log by `seq` replays
-    /// causally.
-    pub seq: u64,
-    /// Request method.
-    pub method: HttpMethod,
-    /// Request path.
-    pub path: String,
-    /// The trigger the request mapped to, if modelled.
-    pub trigger: Option<Trigger>,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Security requirements exercised by the enabled clauses.
-    pub requirements: Vec<String>,
-    /// Status code returned to the client.
-    pub status: StatusCode,
-    /// Free-form diagnostics (evaluation errors, which clause enabled …).
-    pub diagnostics: String,
-}
-
 /// The outcome handed back by [`CloudMonitor::process`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorOutcome {
@@ -341,6 +163,8 @@ pub struct MonitorOutcome {
     pub verdict: Verdict,
     /// Requirements exercised.
     pub requirements: Vec<String>,
+    /// Free-form diagnostics (evaluation errors, which model state …).
+    pub diagnostics: String,
 }
 
 /// An error raised while generating a monitor.
@@ -505,8 +329,11 @@ impl BrownoutController {
 /// then shared: [`CloudMonitor::process`] takes `&self`, so an
 /// `Arc<CloudMonitor<_>>` serves many client threads concurrently. The
 /// read side (routes, contracts, compiled OCL, tokens) is immutable
-/// after setup; the mutable side (the log) is sharded by resource, and
-/// coverage/metrics/events are atomics underneath.
+/// after setup; the mutable side (evaluation scratch, replicas) is
+/// sharded by project, and coverage/metrics/events are atomics
+/// underneath. Every decision leaves as one event and, when a recorder
+/// is attached, one [`AuditRecord`]; the monitor keeps no per-request
+/// state of its own.
 #[derive(Debug)]
 pub struct CloudMonitor<S: SharedRestService> {
     cloud: S,
@@ -533,12 +360,10 @@ pub struct CloudMonitor<S: SharedRestService> {
     /// Additional probe tokens per project, from
     /// [`CloudMonitor::authenticate_scoped`].
     project_tokens: HashMap<u64, String>,
-    /// Per-resource log shards; a request locks exactly one for the whole
+    /// Per-resource shards; a request locks exactly one for the whole
     /// snapshot→forward→snapshot protocol, giving per-resource atomicity.
-    /// Each shard also owns the reusable evaluation scratch for requests
-    /// processed under its lock.
-    log_shards: Box<[Mutex<LogShard>]>,
-    /// Global sequence counter; see [`MonitorRecord::seq`].
+    shards: Box<[Mutex<Shard>]>,
+    /// Global sequence counter; see [`AuditRecord::seq`].
     seq: AtomicU64,
     coverage: CoverageTracker,
     metrics: Arc<MetricsRegistry>,
@@ -553,13 +378,12 @@ pub struct CloudMonitor<S: SharedRestService> {
     brownout: Option<Arc<BrownoutSignal>>,
 }
 
-/// Per-shard mutable state: the log records plus the reusable evaluation
-/// scratch (interned locals stack + memo slots). The scratch lives with
-/// the shard so steady-state contract checking reuses its allocations
-/// request after request instead of reallocating per call.
+/// Per-shard mutable state: the reusable evaluation scratch (interned
+/// locals stack + memo slots). The scratch lives with the shard so
+/// steady-state contract checking reuses its allocations request after
+/// request instead of reallocating per call.
 #[derive(Debug, Default)]
-struct LogShard {
-    records: Vec<MonitorRecord>,
+struct Shard {
     scratch: EvalScratch,
     /// Shadow replicas for the projects this shard serves
     /// ([`SnapshotPolicy::Replica`] only). Living under the shard lock
@@ -568,11 +392,38 @@ struct LogShard {
     replicas: HashMap<u64, ProjectReplica>,
 }
 
-/// Freshly allocated, empty log shards.
-fn new_log_shards() -> Box<[Mutex<LogShard>]> {
-    (0..MONITOR_SHARDS)
-        .map(|_| Mutex::new(LogShard::default()))
-        .collect()
+/// Generate the contracts of several behavioural state machines and merge
+/// them into one set; a trigger modelled by two machines is an error.
+/// The monitor and audit replay both build their contracts here, so a
+/// trace replayed against unchanged models meets the same set.
+pub(crate) fn merge_contracts(
+    behaviors: &[&BehavioralModel],
+    security: Option<&SecurityRequirementsTable>,
+) -> Result<ContractSet, MonitorBuildError> {
+    let mut merged = ContractSet::default();
+    for behavior in behaviors {
+        let set = generate_with(
+            behavior,
+            &GenerateOptions {
+                security,
+                simplify: false,
+            },
+        )
+        .map_err(|e| MonitorBuildError { message: e.message })?;
+        for contract in set.contracts {
+            if merged.contract_for(&contract.trigger).is_some() {
+                return Err(MonitorBuildError {
+                    message: format!(
+                        "trigger {} is modelled by more than one state machine",
+                        contract.trigger
+                    ),
+                });
+            }
+            merged.contracts.push(contract);
+        }
+        merged.states.extend(set.states);
+    }
+    Ok(merged)
 }
 
 impl<S: SharedRestService> CloudMonitor<S> {
@@ -612,29 +463,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         security: Option<&SecurityRequirementsTable>,
         cloud: S,
     ) -> Result<Self, MonitorBuildError> {
-        let mut merged = ContractSet::default();
-        for behavior in behaviors {
-            let set = generate_with(
-                behavior,
-                &GenerateOptions {
-                    security,
-                    simplify: false,
-                },
-            )
-            .map_err(|e| MonitorBuildError { message: e.message })?;
-            for contract in set.contracts {
-                if merged.contract_for(&contract.trigger).is_some() {
-                    return Err(MonitorBuildError {
-                        message: format!(
-                            "trigger {} is modelled by more than one state machine",
-                            contract.trigger
-                        ),
-                    });
-                }
-                merged.contracts.push(contract);
-            }
-            merged.states.extend(set.states);
-        }
+        let merged = merge_contracts(behaviors, security)?;
         let coverage = CoverageTracker::new(&merged.covered_requirements());
         let compiled = CompiledContractSet::compile(&merged);
         let metrics = Arc::new(MetricsRegistry::new());
@@ -656,7 +485,9 @@ impl<S: SharedRestService> CloudMonitor<S> {
             monitor_token: String::new(),
             monitor_project: None,
             project_tokens: HashMap::new(),
-            log_shards: new_log_shards(),
+            shards: (0..MONITOR_SHARDS)
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
             seq: AtomicU64::new(0),
             coverage,
             metrics,
@@ -900,19 +731,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
         &mut self.cloud
     }
 
-    /// The monitor's log: all shards merged, sorted by the global
-    /// sequence number — i.e. in causal (per-resource processing) order.
-    #[must_use]
-    pub fn log(&self) -> Vec<MonitorRecord> {
-        let mut all: Vec<MonitorRecord> = self
-            .log_shards
-            .iter()
-            .flat_map(|shard| plock(shard).records.clone())
-            .collect();
-        all.sort_by_key(|r| r.seq);
-        all
-    }
-
     /// Coverage of security requirements observed so far.
     #[must_use]
     pub fn coverage(&self) -> &CoverageTracker {
@@ -952,7 +770,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             path.hash(&mut hasher);
             hasher.finish()
         });
-        (key as usize) % self.log_shards.len()
+        (key as usize) % self.shards.len()
     }
 
     /// Process one request through the Figure 2 workflow.
@@ -965,124 +783,36 @@ impl<S: SharedRestService> CloudMonitor<S> {
     /// different resources run in parallel.
     pub fn process(&self, request: &RestRequest) -> MonitorOutcome {
         let started = Instant::now();
-        let shard = &self.log_shards[self.shard_index(&request.path)];
-        let mut shard = plock(shard);
-        // The global sequence number is taken at admission (snapshot
-        // time), under the shard lock — not at log-append time — so that
-        // sorting the merged log by seq replays per-resource causal order.
+        let mut shard = plock(&self.shards[self.shard_index(&request.path)]);
+        // The global sequence number is taken at admission, under the
+        // shard lock, and every record of this request is emitted before
+        // the lock is released: per project, the recorder receives
+        // records in seq order.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut obs = ObsScratch {
-            audit: self.audit.is_some(),
-            ..ObsScratch::default()
-        };
-        let LogShard {
-            records,
-            scratch,
-            replicas,
-        } = &mut *shard;
-        let (outcome, trigger, diagnostics) =
+        let mut obs = ObsScratch::default();
+        let Shard { scratch, replicas } = &mut *shard;
+        let (response, decision, context) =
             self.process_inner(request, &mut obs, scratch, replicas);
         obs.timings.total = started.elapsed();
-        if let Some(recorder) = &self.audit {
-            recorder.record(self.audit_record(
-                seq,
-                request,
-                &mut obs,
-                &outcome,
-                &trigger,
-                &diagnostics,
-            ));
-        }
-        let event = MonitorEvent {
-            seq: 0, // assigned by the sink
-            method: request.method.as_str().to_string(),
-            path: request.path.clone(),
-            route: obs.route,
-            verdict: outcome.verdict.to_string(),
-            violation: outcome.verdict.is_violation(),
-            status: outcome.response.status.0,
-            requirements: outcome.requirements.clone(),
-            contract: obs.contract,
-            timings: obs.timings,
-            diagnostics: diagnostics.clone(),
-        };
-        self.metrics.observe(&event);
-        self.events.emit(event);
-        let record = MonitorRecord {
-            seq,
-            method: request.method,
-            path: request.path.clone(),
-            trigger,
-            verdict: outcome.verdict.clone(),
-            requirements: outcome.requirements.clone(),
-            status: outcome.response.status,
-            diagnostics,
-        };
-        self.coverage.record(&record);
-        debug_assert!(
-            records.last().is_none_or(|prev| prev.seq < seq),
-            "per-shard log must stay seq-ordered"
-        );
-        records.push(record);
+        self.coverage
+            .record(&decision.verdict, &decision.requirements);
+        let status = response.status.0;
+        let drift = obs.drift.take();
+        self.emit(seq, request, obs, &decision, status, context);
         // An anti-entropy pass piggybacked on this request found the
         // cloud diverged from the replica: emit the detection as its own
-        // record/event — it is about the *cloud*, not this request,
-        // whose own verdict stands above.
-        if let Some(drift) = obs.drift.take() {
-            let drift_seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let diagnostics = format!("replica drift: {}", drift.details);
-            if let Some(recorder) = &self.audit {
-                recorder.record(AuditRecord {
-                    seq: drift_seq,
-                    ts_nanos: SystemTime::now()
-                        .duration_since(UNIX_EPOCH)
-                        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                        .unwrap_or(0),
-                    method: request.method.as_str().to_string(),
-                    path: request.path.clone(),
-                    route: None,
-                    trigger: None,
-                    mode: match self.mode {
-                        Mode::Enforce => MonitorMode::Enforce,
-                        Mode::Observe => MonitorMode::Observe,
-                    },
-                    degraded_policy: self.degraded_policy.label(),
-                    verdict: VerdictCode::Drift,
-                    requirements: drift.requirements.clone(),
-                    status: outcome.response.status.0,
-                    diagnostics: diagnostics.clone(),
-                    context: ReplayContext::Drift {
-                        attributes: drift.attributes.clone(),
-                    },
-                });
-            }
-            let event = MonitorEvent {
-                seq: 0,
-                method: request.method.as_str().to_string(),
-                path: request.path.clone(),
-                route: None,
-                verdict: Verdict::Drift.to_string(),
-                violation: false,
-                status: outcome.response.status.0,
-                requirements: drift.requirements.clone(),
-                contract: None,
-                timings: PhaseTimings::default(),
-                diagnostics: diagnostics.clone(),
-            };
-            self.metrics.observe(&event);
-            self.events.emit(event);
-            records.push(MonitorRecord {
-                seq: drift_seq,
-                method: request.method,
-                path: request.path.clone(),
-                trigger: None,
-                verdict: Verdict::Drift,
-                requirements: drift.requirements,
-                status: outcome.response.status,
-                diagnostics,
-            });
+        // record — it is about the *cloud*, not this request, whose own
+        // verdict stands above.
+        if let Some((drift, context)) = drift {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            self.emit(seq, request, ObsScratch::default(), &drift, status, context);
         }
-        outcome
+        MonitorOutcome {
+            response,
+            verdict: decision.verdict,
+            requirements: decision.requirements,
+            diagnostics: decision.diagnostics,
+        }
     }
 
     /// Record a request the transport shed under overload, without
@@ -1093,7 +823,9 @@ impl<S: SharedRestService> CloudMonitor<S> {
     /// under a fail-closed transport fault) — so a replay of the trace
     /// sees the request was *refused unjudged*, never a violation and
     /// never a silent drop. Wire this as the transport's shed observer
-    /// (`cm_httpkit::ShedObserver`).
+    /// (`cm_httpkit::ShedObserver`). It takes no shard lock — the
+    /// transport calls it on its overload path — so a shed record may
+    /// reach the recorder out of seq order with its project's requests.
     pub fn record_shed(&self, request: &RestRequest, decision: &ShedDecision) {
         let detail = format!(
             "overload shed: lane={} cause={} queue_wait={}ms budget={}ms",
@@ -1102,115 +834,70 @@ impl<S: SharedRestService> CloudMonitor<S> {
             decision.queue_wait.as_millis(),
             decision.budget.as_millis(),
         );
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.emit(
+            seq,
+            request,
+            ObsScratch::default(),
+            &Decision::new(Verdict::Degraded, Vec::new(), detail.clone()),
+            StatusCode::SERVICE_UNAVAILABLE.0,
+            ReplayContext::DegradedPre {
+                forwarded: false,
+                faults: vec![detail],
+            },
+        );
+        self.metrics.overload.increment("shed_recorded");
+    }
+
+    /// Emit one decision: its audit record (when a recorder is attached),
+    /// one metrics observation and one event. Checked, drift and shed
+    /// records all leave the monitor here.
+    fn emit(
+        &self,
+        seq: u64,
+        request: &RestRequest,
+        obs: ObsScratch,
+        decision: &Decision,
+        status: u16,
+        context: ReplayContext,
+    ) {
+        let event = MonitorEvent {
+            seq: 0, // assigned by the sink
+            method: request.method.as_str().to_string(),
+            path: request.path.clone(),
+            route: obs.route,
+            verdict: decision.verdict.label(),
+            violation: decision.verdict.is_violation(),
+            status,
+            requirements: decision.requirements.clone(),
+            contract: obs.contract,
+            timings: obs.timings,
+            diagnostics: decision.diagnostics.clone(),
+        };
         if let Some(recorder) = &self.audit {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             recorder.record(AuditRecord {
                 seq,
                 ts_nanos: SystemTime::now()
                     .duration_since(UNIX_EPOCH)
                     .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
                     .unwrap_or(0),
-                method: request.method.as_str().to_string(),
-                path: request.path.clone(),
-                route: None,
-                trigger: None,
-                mode: match self.mode {
-                    Mode::Enforce => MonitorMode::Enforce,
-                    Mode::Observe => MonitorMode::Observe,
-                },
+                method: event.method.clone(),
+                path: event.path.clone(),
+                route: event.route.clone(),
+                trigger: obs
+                    .trigger
+                    .map(|t| (t.method.as_str().to_string(), t.resource)),
+                mode: self.mode,
                 degraded_policy: self.degraded_policy.label(),
-                verdict: VerdictCode::Degraded,
-                requirements: Vec::new(),
-                status: StatusCode::SERVICE_UNAVAILABLE.0,
-                diagnostics: detail.clone(),
-                context: ReplayContext::DegradedPre {
-                    forwarded: false,
-                    faults: vec![detail.clone()],
-                },
+                verdict: decision.verdict.clone(),
+                requirements: decision.requirements.clone(),
+                status,
+                diagnostics: decision.diagnostics.clone(),
+                context,
             });
         }
-        let event = MonitorEvent {
-            seq: 0,
-            method: request.method.as_str().to_string(),
-            path: request.path.clone(),
-            route: None,
-            verdict: Verdict::Degraded.to_string(),
-            violation: false,
-            status: StatusCode::SERVICE_UNAVAILABLE.0,
-            requirements: Vec::new(),
-            contract: None,
-            timings: PhaseTimings::default(),
-            diagnostics: detail,
-        };
         self.metrics.observe(&event);
-        self.metrics.overload.increment("shed_recorded");
         self.events.emit(event);
-    }
-
-    /// Fold the observation scratch into a durable, replayable record.
-    fn audit_record(
-        &self,
-        seq: u64,
-        request: &RestRequest,
-        obs: &mut ObsScratch,
-        outcome: &MonitorOutcome,
-        trigger: &Option<Trigger>,
-        diagnostics: &str,
-    ) -> AuditRecord {
-        let context = match obs.ctx.take() {
-            Some(CtxSpecial::Unmodelled) => ReplayContext::Unmodelled,
-            Some(CtxSpecial::MethodNotAllowed { enforced }) => ReplayContext::MethodNotAllowed {
-                enforced,
-                cloud_status: obs.cloud_status,
-            },
-            Some(CtxSpecial::BadTarget) => ReplayContext::BadTarget,
-            Some(CtxSpecial::DegradedPre { forwarded, faults }) => {
-                ReplayContext::DegradedPre { forwarded, faults }
-            }
-            Some(CtxSpecial::DegradedForward) => ReplayContext::DegradedForward,
-            None => match obs.pre_env.take() {
-                Some(pre_env) => ReplayContext::Checked {
-                    pre_env,
-                    post_env: obs.post_env.take(),
-                    post_partial: obs.post_partial,
-                    probe_denials: std::mem::take(&mut obs.probe_denials),
-                    forwarded: obs.forwarded,
-                    cloud_status: obs.cloud_status,
-                    provenance: if obs.replica_env {
-                        EnvProvenance::Replica
-                    } else {
-                        EnvProvenance::Probe
-                    },
-                },
-                // Every checked branch captures a pre-state; reaching
-                // here means an unmapped branch — record the least
-                // claiming context rather than invent one.
-                None => ReplayContext::Unmodelled,
-            },
-        };
-        AuditRecord {
-            seq,
-            ts_nanos: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0),
-            method: request.method.as_str().to_string(),
-            path: request.path.clone(),
-            route: obs.route.clone(),
-            trigger: trigger
-                .as_ref()
-                .map(|t| (t.method.as_str().to_string(), t.resource.clone())),
-            mode: match self.mode {
-                Mode::Enforce => MonitorMode::Enforce,
-                Mode::Observe => MonitorMode::Observe,
-            },
-            degraded_policy: self.degraded_policy.label(),
-            verdict: VerdictCode::from(&outcome.verdict),
-            requirements: outcome.requirements.clone(),
-            status: outcome.response.status.0,
-            diagnostics: diagnostics.to_string(),
-            context,
-        }
     }
 
     /// Decide a request whose pre-state could not be observed (transport
@@ -1222,18 +909,13 @@ impl<S: SharedRestService> CloudMonitor<S> {
         &self,
         request: &RestRequest,
         obs: &mut ObsScratch,
-        trigger: &Trigger,
-        contract: &cm_contracts::MethodContract,
+        judge: &Judge<'_>,
         faults: &[crate::probe::ProbeFault],
-    ) -> (MonitorOutcome, Option<Trigger>, String) {
+    ) -> (RestResponse, Decision, ReplayContext) {
         self.metrics.resilience.increment("degraded_pre");
-        let fault_list = faults
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; ");
-        let requirements = contract.security_requirements.clone();
-        let forward_unchecked = match (self.mode, self.degraded_policy) {
+        let faults: Vec<String> = faults.iter().map(ToString::to_string).collect();
+        let fault_list = faults.join("; ");
+        let forwarded = match (self.mode, self.degraded_policy) {
             (Mode::Observe, _) => true,
             (Mode::Enforce, DegradedPolicy::FailClosed) => false,
             (Mode::Enforce, DegradedPolicy::FailOpen { max_unchecked }) => {
@@ -1251,15 +933,9 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 admitted
             }
         };
-        obs.ctx = Some(CtxSpecial::DegradedPre {
-            forwarded: forward_unchecked,
-            faults: faults.iter().map(ToString::to_string).collect(),
-        });
-        let (response, diagnostics) = if forward_unchecked {
-            let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-            obs.forwarded = true;
+        let (response, diagnostics) = if forwarded {
             (
-                response,
+                timed(&mut obs.timings.forward, || self.cloud.call(request)),
                 format!("forwarded unchecked (pre-snapshot faults: {fault_list})"),
             )
         } else {
@@ -1273,20 +949,16 @@ impl<S: SharedRestService> CloudMonitor<S> {
             )
         };
         (
-            MonitorOutcome {
-                response,
-                verdict: Verdict::Degraded,
-                requirements,
-            },
-            Some(trigger.clone()),
-            diagnostics,
+            response,
+            judge.degraded(diagnostics),
+            ReplayContext::DegradedPre { forwarded, faults },
         )
     }
 
-    /// Attribute drifted `(root, attr)` pairs to the security
-    /// requirements of every contract whose pre/post scope reads one of
-    /// them — the Table-I traceability of a drift detection.
-    fn drift_report(&self, drift: Vec<DriftEntry>) -> DriftReport {
+    /// The Drift record for drifted `(root, attr)` pairs, attributed to
+    /// the security requirements of every contract whose pre/post scope
+    /// reads one of them — the Table-I traceability of a drift detection.
+    fn drift_record(&self, drift: Vec<DriftEntry>) -> (Decision, ReplayContext) {
         let mut requirements: Vec<String> = Vec::new();
         for (idx, compiled) in self.compiled.contracts().iter().enumerate() {
             let touched = drift.iter().any(|d| {
@@ -1301,42 +973,46 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 }
             }
         }
-        DriftReport {
-            attributes: drift
-                .iter()
-                .map(|d| format!("{}.{}", d.root, d.attr))
-                .collect(),
-            details: drift
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; "),
-            requirements,
-        }
+        let details = drift
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("; ");
+        let attributes = drift
+            .iter()
+            .map(|d| format!("{}.{}", d.root, d.attr))
+            .collect();
+        (
+            Decision::new(
+                Verdict::Drift,
+                requirements,
+                format!("replica drift: {details}"),
+            ),
+            ReplayContext::Drift { attributes },
+        )
     }
 
-    /// Replica bookkeeping for forwards that bypass the checked path: a
-    /// successful non-GET against a project whose replica exists may
-    /// have mutated state the transition function never saw, so the
-    /// replica can no longer predict — mark it stale (the next request
-    /// probes and re-seeds).
-    fn note_unmodelled_forward(
+    /// Forward a request that bypasses the checked path. A successful
+    /// non-GET against a project whose replica exists may have mutated
+    /// state the transition function never saw, so the replica can no
+    /// longer predict — mark it stale (the next request probes and
+    /// re-seeds).
+    fn forward_unchecked(
+        &self,
+        request: &RestRequest,
+        obs: &mut ObsScratch,
         replicas: &mut HashMap<u64, ProjectReplica>,
-        path: &str,
-        method: HttpMethod,
-        response: &RestResponse,
-    ) {
-        if method == HttpMethod::Get || !response.status.is_success() {
-            return;
-        }
-        let mut segments = path.split('/').filter(|s| !s.is_empty());
-        if let (Some("v3" | "compute"), Some(pid)) = (segments.next(), segments.next()) {
-            if let Ok(pid) = pid.parse::<u64>() {
-                if let Some(replica) = replicas.get_mut(&pid) {
+    ) -> RestResponse {
+        let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+        if request.method != HttpMethod::Get && response.status.is_success() {
+            let mut segments = request.path.split('/').filter(|s| !s.is_empty());
+            if let (Some("v3" | "compute"), Some(pid)) = (segments.next(), segments.next()) {
+                if let Some(replica) = pid.parse().ok().and_then(|pid| replicas.get_mut(&pid)) {
                     replica.mark_stale();
                 }
             }
         }
+        response
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1346,7 +1022,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         obs: &mut ObsScratch,
         scratch: &mut EvalScratch,
         replicas: &mut HashMap<u64, ProjectReplica>,
-    ) -> (MonitorOutcome, Option<Trigger>, String) {
+    ) -> (RestResponse, Decision, ReplayContext) {
         // 1. Resolve the URI against the model-derived routes.
         let (route, params) = match self.routes.resolve(request.method, &request.path) {
             Resolution::Matched { route, params } => {
@@ -1357,57 +1033,43 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 // Listing 2: HttpResponseNotAllowed. `route.allow` is the
                 // method list pre-joined at derivation time.
                 if self.mode == Mode::Enforce {
-                    obs.ctx = Some(CtxSpecial::MethodNotAllowed { enforced: true });
-                    let resp = RestResponse::error(
+                    let response = RestResponse::error(
                         StatusCode::METHOD_NOT_ALLOWED,
                         format!("method not allowed; allowed: {}", route.allow),
                     )
                     .header("Allow", route.allow.clone());
                     return (
-                        MonitorOutcome {
-                            response: resp,
-                            verdict: Verdict::PreBlocked,
-                            requirements: Vec::new(),
+                        response,
+                        Decision::new(
+                            Verdict::PreBlocked,
+                            Vec::new(),
+                            "method not in model-derived interface",
+                        ),
+                        ReplayContext::MethodNotAllowed {
+                            enforced: true,
+                            cloud_status: None,
                         },
-                        None,
-                        "method not in model-derived interface".to_string(),
                     );
                 }
-                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-                obs.ctx = Some(CtxSpecial::MethodNotAllowed { enforced: false });
-                obs.forwarded = true;
-                obs.cloud_status = Some(response.status.0);
-                let verdict = if response.status.is_success() {
-                    Verdict::WrongAcceptance
-                } else {
-                    Verdict::Pass
-                };
+                let response = self.forward_unchecked(request, obs, replicas);
+                let verdict = judge::method_not_allowed(response.status);
+                let cloud_status = Some(response.status.0);
                 return (
-                    MonitorOutcome {
-                        response,
-                        verdict,
-                        requirements: Vec::new(),
+                    response,
+                    Decision::new(verdict, Vec::new(), "method outside the modelled interface"),
+                    ReplayContext::MethodNotAllowed {
+                        enforced: false,
+                        cloud_status,
                     },
-                    None,
-                    "method outside the modelled interface".to_string(),
                 );
             }
             Resolution::NotFound => {
                 // Unknown to the model (e.g. /identity/…): transparent proxy.
-                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-                obs.ctx = Some(CtxSpecial::Unmodelled);
-                obs.forwarded = true;
-                obs.cloud_status = Some(response.status.0);
+                let response = self.forward_unchecked(request, obs, replicas);
                 return (
-                    MonitorOutcome {
-                        response,
-                        verdict: Verdict::NotModelled,
-                        requirements: Vec::new(),
-                    },
-                    None,
-                    String::new(),
+                    response,
+                    Decision::new(Verdict::NotModelled, Vec::new(), ""),
+                    ReplayContext::Unmodelled,
                 );
             }
         };
@@ -1415,39 +1077,27 @@ impl<S: SharedRestService> CloudMonitor<S> {
         // 2. Map to the behavioural trigger and its contract (borrowed —
         //    the read side is immutable, nothing needs cloning).
         let trigger = Trigger::new(request.method, route.trigger_resource(request.method));
+        obs.trigger = Some(trigger.clone());
         let Some(contract_idx) = self.compiled.index_for(&trigger) else {
-            let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-            Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-            obs.ctx = Some(CtxSpecial::Unmodelled);
-            obs.forwarded = true;
-            obs.cloud_status = Some(response.status.0);
+            let response = self.forward_unchecked(request, obs, replicas);
             return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::NotModelled,
-                    requirements: Vec::new(),
-                },
-                Some(trigger),
-                "no contract for trigger".to_string(),
+                response,
+                Decision::new(Verdict::NotModelled, Vec::new(), "no contract for trigger"),
+                ReplayContext::Unmodelled,
             );
         };
-        let contract = &self.contracts.contracts[contract_idx];
-        let compiled = &self.compiled.contracts()[contract_idx];
-        let syms = self.compiled.symbols();
+        let judge = Judge::new(&self.contracts, &self.compiled, contract_idx);
 
         // 3. Identify the probe target from the captured URI parameters.
         let Some(project_id) = params.get("project_id").and_then(|s| s.parse::<u64>().ok()) else {
-            obs.ctx = Some(CtxSpecial::BadTarget);
-            let response =
-                RestResponse::error(StatusCode::BAD_REQUEST, "bad or missing project id");
             return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::ContractError,
-                    requirements: Vec::new(),
-                },
-                Some(trigger),
-                "project id did not parse".to_string(),
+                RestResponse::error(StatusCode::BAD_REQUEST, "bad or missing project id"),
+                Decision::new(
+                    Verdict::ContractError,
+                    Vec::new(),
+                    "project id did not parse",
+                ),
+                ReplayContext::BadTarget,
             );
         };
         let volume_id = params.get("volume_id").and_then(|s| s.parse::<u64>().ok());
@@ -1495,14 +1145,14 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     // monitor's would.
                     replica.mark_stale();
                     self.metrics.replica.increment("stale");
-                    return self.degrade_pre(request, obs, &trigger, contract, &snap.faults);
+                    return self.degrade_pre(request, obs, &judge, &snap.faults);
                 }
                 if due {
                     let drift = replica.diff(project_id, volume_id, &snap.nav);
                     if !drift.is_empty() {
                         self.metrics.replica.increment("drift");
                         self.metrics.replica.increment("repair");
-                        obs.drift = Some(self.drift_report(drift));
+                        obs.drift = Some(self.drift_record(drift));
                     }
                 }
                 replica.absorb(project_id, volume_id, &snap.nav);
@@ -1524,13 +1174,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     Err(fault) => {
                         replica.mark_stale();
                         self.metrics.replica.increment("stale");
-                        return self.degrade_pre(request, obs, &trigger, contract, &[fault]);
+                        return self.degrade_pre(request, obs, &judge, &[fault]);
                     }
                 }
                 via_replica = true;
-                if obs.audit {
-                    obs.replica_env = true;
-                }
                 crate::probe::Snapshot {
                     nav,
                     denials: Vec::new(),
@@ -1547,14 +1194,14 @@ impl<S: SharedRestService> CloudMonitor<S> {
         // would attribute transport weather to the cloud's contract.
         // The degraded policy decides what to do instead.
         if pre_snapshot.is_partial() {
-            return self.degrade_pre(request, obs, &trigger, contract, &pre_snapshot.faults);
+            return self.degrade_pre(request, obs, &judge, &pre_snapshot.faults);
         }
         let pre_state = pre_snapshot.nav;
         // Probe denials are only meaningful where the monitor has probe
         // authority: a request addressed to a foreign project is expected
         // to be unobservable (and its pre-condition correctly fails on the
         // empty view).
-        let probe_errors = match self.monitor_project {
+        let probe_denials = match self.monitor_project {
             Some(scope_pid)
                 if scope_pid != project_id && !self.project_tokens.contains_key(&project_id) =>
             {
@@ -1562,76 +1209,61 @@ impl<S: SharedRestService> CloudMonitor<S> {
             }
             _ => pre_snapshot.denials,
         };
-        if obs.audit {
-            obs.pre_env = Some(EnvSnapshot::capture(&pre_state));
-            obs.probe_denials = probe_errors.clone();
-        }
+        // Snapshot serialization is not free: capture the replay
+        // environments only for a recorder.
+        let audit = self.audit.is_some();
+        let pre_env = if audit {
+            EnvSnapshot::capture(&pre_state)
+        } else {
+            EnvSnapshot::default()
+        };
+        let provenance = if via_replica {
+            EnvProvenance::Replica
+        } else {
+            EnvProvenance::Probe
+        };
         // The interned view of the pre-state snapshot serves the
         // pre-check, requirement attribution, and later the post phase's
         // pre-state environment.
-        let pre_view = EnvView::from_navigator(&pre_state, syms);
-        let pre_ok = match timed(&mut obs.timings.pre_check, || {
-            obs.contract = Some(contract.trigger.to_string());
-            compiled.begin_pre(scratch);
-            compiled.evaluate_pre(syms, &pre_view, scratch)
+        let pre_view = EnvView::from_navigator(&pre_state, self.compiled.symbols());
+        obs.contract = Some(trigger.to_string());
+        let pre = match timed(&mut obs.timings.pre_check, || {
+            judge.pre(self.mode, &pre_view, scratch)
         }) {
-            Ok(v) => v,
-            Err(e) => {
-                let diagnostics = format!("pre-condition evaluation failed: {e}");
-                let response = if self.mode == Mode::Enforce {
-                    RestResponse::error(StatusCode::INTERNAL_SERVER_ERROR, &diagnostics)
+            Ok(pre) => pre,
+            Err(decision) => {
+                let (response, cloud_status) = if decision.verdict == Verdict::PreBlocked {
+                    let response = RestResponse::error(
+                        StatusCode::PRECONDITION_FAILED,
+                        format!("pre-condition of {trigger} violated"),
+                    );
+                    (response, None)
+                } else if self.mode == Mode::Enforce {
+                    let response = RestResponse::error(
+                        StatusCode::INTERNAL_SERVER_ERROR,
+                        &decision.diagnostics,
+                    );
+                    (response, None)
                 } else {
                     let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                    obs.forwarded = true;
-                    obs.cloud_status = Some(response.status.0);
-                    response
+                    let status = response.status.0;
+                    (response, Some(status))
                 };
                 return (
-                    MonitorOutcome {
-                        response,
-                        verdict: Verdict::ContractError,
-                        requirements: Vec::new(),
+                    response,
+                    decision,
+                    ReplayContext::Checked {
+                        pre_env,
+                        post_env: None,
+                        post_partial: false,
+                        probe_denials,
+                        forwarded: cloud_status.is_some(),
+                        cloud_status,
+                        provenance,
                     },
-                    Some(trigger),
-                    diagnostics,
                 );
             }
         };
-        // The clause roots are shared subtrees of the combined pre
-        // (hash-consing), so with the memo table still warm from
-        // `evaluate_pre` this is nearly free.
-        let requirements = timed(&mut obs.timings.pre_check, || {
-            compiled
-                .enabled_clause_indices(syms, &pre_view, scratch)
-                .map(|idxs| {
-                    let mut out: Vec<String> = Vec::new();
-                    for i in idxs {
-                        for r in &contract.clauses[i].security_requirements {
-                            if !out.contains(r) {
-                                out.push(r.clone());
-                            }
-                        }
-                    }
-                    out
-                })
-                .unwrap_or_default()
-        });
-
-        if self.mode == Mode::Enforce && !pre_ok {
-            let response = RestResponse::error(
-                StatusCode::PRECONDITION_FAILED,
-                format!("pre-condition of {trigger} violated"),
-            );
-            return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::PreBlocked,
-                    requirements: contract.security_requirements.clone(),
-                },
-                Some(trigger),
-                "blocked before reaching the cloud".to_string(),
-            );
-        }
 
         // 5. Forward to the cloud. When the pre-condition passed, the
         //    overwhelmingly likely next step is the post-state snapshot,
@@ -1646,7 +1278,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         //    the post-state, and the replica steady state *predicts* it
         //    from the response, so both keep the plain forward.
         let mut merged_post: Option<crate::probe::Snapshot> = None;
-        let response = if pre_ok && !via_replica {
+        let response = if pre.ok && !via_replica {
             let (response, snap) = timed(&mut obs.timings.forward, || {
                 self.prober
                     .snapshot_checked_after(&self.cloud, request, &target)
@@ -1664,8 +1296,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         // that actually arrives over the wire. Bare gateway statuses
         // (502/503/504) are NOT taken at face value here — a misbehaving
         // cloud could answer 503 itself to dodge its post-condition
-        // check — they fall through to the classification below, which
-        // disambiguates against the post-state.
+        // check — the judge disambiguates them against the post-state.
         if response.is_transport_fault() {
             if self.snapshot_policy == SnapshotPolicy::Replica {
                 // The forward may or may not have executed: the replica
@@ -1676,21 +1307,14 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 }
             }
             self.metrics.resilience.increment("degraded_forward");
-            obs.ctx = Some(CtxSpecial::DegradedForward);
             let diagnostics = format!("forward failed in transport: {}", response.status);
             return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::Degraded,
-                    requirements: contract.security_requirements.clone(),
-                },
-                Some(trigger),
-                diagnostics,
+                response,
+                judge.degraded(diagnostics),
+                ReplayContext::DegradedForward,
             );
         }
-        obs.forwarded = true;
-        obs.cloud_status = Some(response.status.0);
-        let success = response.status.is_success();
+        let status = response.status;
 
         // Advance the replica's state machine from the observed
         // request/response pair — for EVERY forwarded response, whatever
@@ -1713,248 +1337,113 @@ impl<S: SharedRestService> CloudMonitor<S> {
             }
         }
 
-        // Both the success arm (post-condition check) and the gateway
-        // disambiguation below observe the post-state the same way:
-        // from the merged batch above when probing, from the replica's
-        // prediction (zero probes) in the replica steady state.
-        let mut take_post_snapshot = || {
-            if let Some(snap) = merged_post.take() {
-                // The replica probe path's post snapshot is ground
-                // truth after the mutation — absorb it.
-                if self.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
-                    replicas
-                        .entry(project_id)
-                        .or_default()
-                        .absorb(project_id, volume_id, &snap.nav);
-                }
-                return snap;
-            }
-            // Only the replica steady state forwards without post-probes.
-            debug_assert!(via_replica);
-            let replica = replicas.entry(project_id).or_default();
-            if replica.ready() {
-                // Post-state predicted by the transition just applied;
-                // identity rides the stashed (cached) introspection.
-                // Zero probes.
-                let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
-                match &replica_identity {
-                    Some(introspection) => {
-                        ProjectReplica::bind_identity(&mut nav, introspection);
+        // 6. Judge the response. The success arm (post-condition check)
+        //    and the gateway disambiguation observe the post-state the
+        //    same way: from the merged batch above when probing, from the
+        //    replica's prediction (zero probes) in the replica steady
+        //    state.
+        //    The judge's own time is post-check time; the post-state it
+        //    waits for is snapshot time, and the audit capture neither.
+        let mut post_env = None;
+        let mut post_partial = false;
+        let mut waited = Duration::ZERO;
+        let judged = Instant::now();
+        let decision = judge
+            .response(pre, status, &probe_denials, &pre_view, scratch, || {
+                let asked = Instant::now();
+                let snap = timed(&mut obs.timings.snapshot, || {
+                    if let Some(snap) = merged_post.take() {
+                        // The replica probe path's post snapshot is
+                        // ground truth after the mutation — absorb it.
+                        if self.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
+                            replicas
+                                .entry(project_id)
+                                .or_default()
+                                .absorb(project_id, volume_id, &snap.nav);
+                        }
+                        return snap;
                     }
-                    None => ProjectReplica::bind_no_identity(&mut nav),
-                }
-                return crate::probe::Snapshot {
-                    nav,
-                    denials: Vec::new(),
-                    faults: Vec::new(),
-                };
-            }
-            // The response was unpredictable: on-demand reconciliation
-            // serves the post-state and re-seeds the replica.
-            self.metrics.replica.increment("miss");
-            let snap = self.prober.snapshot_checked(&self.cloud, &target);
-            if !snap.is_partial() {
-                replica.absorb(project_id, volume_id, &snap.nav);
-            }
-            snap
-        };
-
-        // 6. Interpret the response code and check the post-condition.
-        let (verdict, diagnostics) = if pre_ok && success {
-            let expected = expected_success_status(request.method);
-            if response.status != expected {
-                (
-                    Verdict::WrongStatus {
-                        expected: expected.0,
-                        actual: response.status.0,
-                    },
-                    format!("expected {expected}, got {}", response.status),
-                )
-            } else {
-                let post_snapshot = timed(&mut obs.timings.snapshot, &mut take_post_snapshot);
-                // The call already executed; only its *verification* is
-                // lost. Report the post-condition as untestable rather
-                // than judging a half-observed post-state.
-                if post_snapshot.is_partial() {
-                    self.metrics.resilience.increment("degraded_post");
-                    obs.post_partial = true;
-                    let fault_list = post_snapshot
-                        .faults
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    return (
-                        MonitorOutcome {
-                            response,
-                            verdict: Verdict::Degraded,
-                            requirements: contract.security_requirements.clone(),
-                        },
-                        Some(trigger),
-                        format!("post-snapshot faults: {fault_list}"),
-                    );
-                }
-                let post_state = post_snapshot.nav;
-                if obs.audit {
-                    obs.post_env = Some(EnvSnapshot::capture(&post_state));
-                }
-                let post_view = EnvView::from_navigator(&post_state, syms);
-                match timed(&mut obs.timings.post_check, || {
-                    compiled.begin_post(scratch);
-                    compiled.evaluate_post(syms, &post_view, &pre_view, scratch)
-                }) {
-                    Ok(true) => {
-                        // The paper's stateful view: report which model
-                        // state the system is in after the call.
-                        let states = timed(&mut obs.timings.post_check, || {
-                            compiled
-                                .matching_state_indices_post(syms, &post_view, &pre_view, scratch)
-                                .map(|idxs| {
-                                    idxs.iter()
-                                        .map(|&i| self.compiled.state_names()[i].clone())
-                                        .collect::<Vec<_>>()
-                                })
-                                .unwrap_or_default()
-                        });
-                        let diagnostics = if states.is_empty() {
-                            String::new()
-                        } else {
-                            format!("state: {}", states.join(", "))
+                    // Only the replica steady state forwards without
+                    // post-probes.
+                    debug_assert!(via_replica);
+                    let replica = replicas.entry(project_id).or_default();
+                    if replica.ready() {
+                        // Post-state predicted by the transition just
+                        // applied; identity rides the stashed (cached)
+                        // introspection. Zero probes.
+                        let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
+                        match &replica_identity {
+                            Some(introspection) => {
+                                ProjectReplica::bind_identity(&mut nav, introspection);
+                            }
+                            None => ProjectReplica::bind_no_identity(&mut nav),
+                        }
+                        return crate::probe::Snapshot {
+                            nav,
+                            denials: Vec::new(),
+                            faults: Vec::new(),
                         };
-                        (Verdict::Pass, diagnostics)
                     }
-                    Ok(false) => (
-                        Verdict::PostViolation,
-                        format!("post-condition of {trigger} violated"),
-                    ),
-                    Err(e) => (
-                        Verdict::ContractError,
-                        format!("post-condition evaluation failed: {e}"),
-                    ),
-                }
-            }
-        } else if pre_ok && response.status.is_gateway_error() {
-            // An authorized request came back with a bare 502/503/504
-            // from the wire. Two indistinguishable-by-status stories:
-            // an intermediary answered for a sick backend (transport
-            // weather), or the cloud itself masked an executed call
-            // behind a 5xx to dodge its post-condition check. The
-            // post-state disambiguates: a post-condition that HOLDS
-            // means the call ran — a status-lying cloud, a violation.
-            // Anything else is indistinguishable from weather and
-            // degrades (counted, never a false violation).
-            let post_snapshot = timed(&mut obs.timings.snapshot, &mut take_post_snapshot);
-            let executed = if post_snapshot.is_partial() {
-                obs.post_partial = true;
-                None
-            } else {
-                let post_state = post_snapshot.nav;
-                if obs.audit {
-                    obs.post_env = Some(EnvSnapshot::capture(&post_state));
-                }
-                let holds = timed(&mut obs.timings.post_check, || {
-                    let post_view = EnvView::from_navigator(&post_state, syms);
-                    compiled.begin_post(scratch);
-                    compiled.evaluate_post(syms, &post_view, &pre_view, scratch)
+                    // The response was unpredictable: on-demand
+                    // reconciliation serves the post-state and re-seeds
+                    // the replica.
+                    self.metrics.replica.increment("miss");
+                    let snap = self.prober.snapshot_checked(&self.cloud, &target);
+                    if !snap.is_partial() {
+                        replica.absorb(project_id, volume_id, &snap.nav);
+                    }
+                    snap
                 });
-                // An evaluation error cannot convict the cloud: treat
-                // it as not-proven-executed and degrade below.
-                Some(holds.unwrap_or(false))
-            };
-            if executed == Some(true) {
-                (
-                    Verdict::WrongStatus {
-                        expected: expected_success_status(request.method).0,
-                        actual: response.status.0,
-                    },
-                    format!(
-                        "cloud answered {} yet the post-condition holds: \
-                         an executed call behind a masking gateway status",
-                        response.status
-                    ),
-                )
-            } else {
-                self.metrics.resilience.increment("degraded_forward");
-                let diagnostics = if executed.is_none() {
-                    format!(
-                        "forward answered {} and the post-state is unobservable",
-                        response.status
+                let post = if snap.is_partial() {
+                    post_partial = true;
+                    PostState::Unobservable(
+                        snap.faults
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join("; "),
                     )
                 } else {
-                    format!(
-                        "forward answered gateway status {}; post-state consistent with no execution",
-                        response.status
-                    )
+                    if audit {
+                        post_env = Some(EnvSnapshot::capture(&snap.nav));
+                    }
+                    PostState::Observed(snap.nav)
                 };
-                return (
-                    MonitorOutcome {
-                        response,
-                        verdict: Verdict::Degraded,
-                        requirements: contract.security_requirements.clone(),
-                    },
-                    Some(trigger),
-                    diagnostics,
-                );
-            }
-        } else if pre_ok {
-            (
-                Verdict::WrongDenial,
-                format!("authorized request denied with {}", response.status),
-            )
-        } else if success {
-            (
-                Verdict::WrongAcceptance,
-                format!(
-                    "unauthorized/disallowed request succeeded with {}",
-                    response.status
-                ),
-            )
-        } else {
-            (Verdict::Pass, "correctly denied".to_string())
-        };
-
-        // A denied monitor probe means the cloud refused admin-authority
-        // reads — report it even when the request itself looked correctly
-        // handled (otherwise a read-denying mutant hides from the oracle).
-        let (verdict, diagnostics) = if verdict == Verdict::Pass && !probe_errors.is_empty() {
-            (
-                Verdict::WrongDenial,
-                format!("monitor probes denied: {}", probe_errors.join("; ")),
-            )
-        } else {
-            (verdict, diagnostics)
-        };
-
-        // A violation with no enabled pre clause (e.g. WrongAcceptance:
-        // the request should have been denied outright) would otherwise
-        // carry no requirement ids at all. Attribute the trigger
-        // contract's requirements so the verdict stays traceable to
-        // Table I — the kill matrix keys its cells on exactly this.
-        let requirements = if verdict.is_violation() && requirements.is_empty() {
-            contract.security_requirements.clone()
-        } else {
-            requirements
-        };
+                waited = asked.elapsed();
+                post
+            })
+            .expect("the monitor observes the post-state or reports it unobservable");
+        obs.timings.post_check += judged.elapsed().saturating_sub(waited);
+        if decision.verdict == Verdict::Degraded {
+            self.metrics.resilience.increment(if status.is_success() {
+                "degraded_post"
+            } else {
+                "degraded_forward"
+            });
+        }
 
         // 7. In enforce mode, violations become an invalid response that
         //    names the faulty behaviour (Figure 2).
-        let response = if self.mode == Mode::Enforce && verdict.is_violation() {
+        let response = if self.mode == Mode::Enforce && decision.verdict.is_violation() {
             RestResponse::error(
                 StatusCode::BAD_GATEWAY,
-                format!("cloud monitor verdict for {trigger}: {verdict}"),
+                format!("cloud monitor verdict for {trigger}: {}", decision.verdict),
             )
         } else {
             response
         };
-
         (
-            MonitorOutcome {
-                response,
-                verdict,
-                requirements,
+            response,
+            decision,
+            ReplayContext::Checked {
+                pre_env,
+                post_env,
+                post_partial,
+                probe_denials,
+                forwarded: true,
+                cloud_status: Some(status.0),
+                provenance,
             },
-            Some(trigger),
-            diagnostics,
         )
     }
 }
@@ -2016,12 +1505,14 @@ pub fn cinder_monitor_extended<S: SharedRestService>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cm_audit::MemoryRecorder;
     use cm_cloudsim::{Fault, FaultPlan, PrivateCloud};
     use cm_rbac::Rule;
     use std::collections::HashMap;
 
     struct Harness {
         monitor: CloudMonitor<PrivateCloud>,
+        recorder: Arc<MemoryRecorder>,
         pid: u64,
         tokens: HashMap<&'static str, String>,
     }
@@ -2034,10 +1525,15 @@ mod tests {
             let t = cloud.issue_token(user, &format!("{user}-pw")).unwrap();
             tokens.insert(user, t.token);
         }
-        let mut monitor = cinder_monitor(cloud).unwrap().mode(mode);
+        let recorder = Arc::new(MemoryRecorder::new());
+        let mut monitor = cinder_monitor(cloud)
+            .unwrap()
+            .mode(mode)
+            .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
         monitor.authenticate("alice", "alice-pw").unwrap();
         Harness {
             monitor,
+            recorder,
             pid,
             tokens,
         }
@@ -2129,12 +1625,12 @@ mod tests {
         let mut h = harness(Mode::Enforce, FaultPlan::none());
         let pid = h.pid;
         let post = h.send("bob", HttpMethod::Post, format!("/v3/{pid}/volumes"));
-        assert_eq!(post.verdict, Verdict::Pass, "{:?}", h.monitor.log().last());
+        assert_eq!(post.verdict, Verdict::Pass, "{post:?}");
         assert_eq!(post.response.status, StatusCode::CREATED);
         let get = h.send("carol", HttpMethod::Get, format!("/v3/{pid}/volumes/1"));
-        assert_eq!(get.verdict, Verdict::Pass, "{:?}", h.monitor.log().last());
+        assert_eq!(get.verdict, Verdict::Pass, "{get:?}");
         let put = h.send("bob", HttpMethod::Put, format!("/v3/{pid}/volumes/1"));
-        assert_eq!(put.verdict, Verdict::Pass, "{:?}", h.monitor.log().last());
+        assert_eq!(put.verdict, Verdict::Pass, "{put:?}");
     }
 
     #[test]
@@ -2285,7 +1781,7 @@ mod tests {
             HttpMethod::Delete,
             format!("/v3/{pid}/volumes/{vid}"),
         );
-        assert_eq!(h.monitor.log().len(), 2);
+        assert_eq!(h.recorder.len(), 2);
         let cov = h.monitor.coverage();
         assert_eq!(cov.total_requests(), 2);
         assert!(cov.requirement("1.1").unwrap().exercised >= 1);
@@ -2325,7 +1821,7 @@ mod tests {
         let pid = h.pid;
         for _ in 0..cm_cloudsim::DEFAULT_VOLUME_QUOTA {
             let ok = h.send("alice", HttpMethod::Post, format!("/v3/{pid}/volumes"));
-            assert_eq!(ok.verdict, Verdict::Pass, "{:?}", h.monitor.log().last());
+            assert_eq!(ok.verdict, Verdict::Pass, "{ok:?}");
         }
         let over = h.send("alice", HttpMethod::Post, format!("/v3/{pid}/volumes"));
         assert_eq!(over.verdict, Verdict::PreBlocked);
@@ -2607,12 +2103,7 @@ mod extended_model_tests {
             .auth_token(&e.admin)
             .json(snap_body()),
         );
-        assert_eq!(
-            create.verdict,
-            Verdict::Pass,
-            "{:?}",
-            e.monitor.log().last()
-        );
+        assert_eq!(create.verdict, Verdict::Pass, "{create:?}");
         assert!(create.requirements.contains(&"2.2".to_string()));
 
         // carol reads it (SecReq 2.1).
@@ -2623,7 +2114,7 @@ mod extended_model_tests {
             )
             .auth_token(&e.carol),
         );
-        assert_eq!(get.verdict, Verdict::Pass, "{:?}", e.monitor.log().last());
+        assert_eq!(get.verdict, Verdict::Pass, "{get:?}");
 
         // carol may not delete it (SecReq 2.3) — blocked pre-cloud.
         let blocked = e.monitor.process(
@@ -2643,12 +2134,7 @@ mod extended_model_tests {
             )
             .auth_token(&e.admin),
         );
-        assert_eq!(
-            deleted.verdict,
-            Verdict::Pass,
-            "{:?}",
-            e.monitor.log().last()
-        );
+        assert_eq!(deleted.verdict, Verdict::Pass, "{deleted:?}");
     }
 
     #[test]
@@ -2664,12 +2150,7 @@ mod extended_model_tests {
             &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/{vid}"))
                 .auth_token(&e.admin),
         );
-        assert_eq!(
-            deleted.verdict,
-            Verdict::Pass,
-            "{:?}",
-            e.monitor.log().last()
-        );
+        assert_eq!(deleted.verdict, Verdict::Pass, "{deleted:?}");
     }
 
     #[test]
@@ -2714,76 +2195,10 @@ mod extended_model_tests {
     }
 }
 
-impl<S: SharedRestService> CloudMonitor<S> {
-    /// Export the monitor log as JSON — "the invocation results can be
-    /// logged for further fault localization" (Section III-B). Entries
-    /// are in causal order (sorted by `seq`), so the export replays a
-    /// concurrent run deterministically per resource.
-    #[must_use]
-    pub fn log_json(&self) -> Json {
-        Json::Array(
-            self.log()
-                .iter()
-                .map(|r| {
-                    Json::object(vec![
-                        ("seq", Json::Int(r.seq as i64)),
-                        ("method", Json::Str(r.method.to_string())),
-                        ("path", Json::Str(r.path.clone())),
-                        (
-                            "trigger",
-                            match &r.trigger {
-                                Some(t) => Json::Str(t.to_string()),
-                                None => Json::Null,
-                            },
-                        ),
-                        ("verdict", Json::Str(r.verdict.to_string())),
-                        ("status", Json::Int(i64::from(r.status.0))),
-                        (
-                            "requirements",
-                            Json::Array(
-                                r.requirements
-                                    .iter()
-                                    .map(|x| Json::Str(x.clone()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("diagnostics", Json::Str(r.diagnostics.clone())),
-                    ])
-                })
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
-mod log_json_tests {
+mod resilience_tests {
     use super::*;
     use cm_cloudsim::PrivateCloud;
-
-    #[test]
-    fn log_exports_as_json() {
-        let cloud = PrivateCloud::my_project();
-        let pid = cloud.project_id();
-        let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
-        cloud.state_mut().create_volume(pid, "v", 1, false).unwrap();
-        let mut monitor = cinder_monitor(cloud).unwrap();
-        monitor.authenticate("alice", "alice-pw").unwrap();
-        monitor.process(
-            &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1"))
-                .auth_token(&carol),
-        );
-        let json = monitor.log_json();
-        let entries = json.as_array().unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.get("method").unwrap().as_str(), Some("DELETE"));
-        assert_eq!(e.get("verdict").unwrap().as_str(), Some("pre-blocked"));
-        assert_eq!(e.get("status").unwrap().as_int(), Some(412));
-        assert_eq!(e.get("trigger").unwrap().as_str(), Some("DELETE(volume)"));
-        // Round-trips through the JSON parser.
-        let text = json.to_compact_string();
-        assert_eq!(cm_rest::parse_json(&text).unwrap(), json);
-    }
 
     /// A cloud wrapper that injects transport faults into model-state
     /// probes (GETs under `/v3`) once armed; everything else passes
@@ -3068,23 +2483,24 @@ mod log_json_tests {
 
     #[test]
     fn poisoned_shard_does_not_wedge_later_requests() {
+        let recorder = Arc::new(cm_audit::MemoryRecorder::new());
         let monitor = cinder_monitor(PanicOnce {
             inner: PrivateCloud::my_project(),
             armed: std::sync::atomic::AtomicBool::new(true),
         })
-        .unwrap();
+        .unwrap()
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
         let req = RestRequest::new(HttpMethod::Get, "/identity/boom");
-        // The first request panics mid-forward while holding its log
-        // shard, poisoning that shard's mutex.
+        // The first request panics mid-forward while holding its shard,
+        // poisoning that shard's mutex.
         let poisoned =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| monitor.process(&req)));
         assert!(poisoned.is_err());
         // The same shard still serves requests: the lock recovered.
         let outcome = monitor.process(&req);
         assert_eq!(outcome.verdict, Verdict::NotModelled);
-        // The panicked request never appended its record; the retry did.
-        // Merging the log also walks the recovered shard.
-        assert_eq!(monitor.log().len(), 1);
+        // The panicked request never emitted its record; the retry did.
+        assert_eq!(recorder.len(), 1);
     }
 }
 
@@ -3127,7 +2543,7 @@ mod refined_delete_tests {
             &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/{vid}"))
                 .auth_token(&admin),
         );
-        assert_eq!(vol_del.verdict, Verdict::Pass, "{:?}", monitor.log().last());
+        assert_eq!(vol_del.verdict, Verdict::Pass, "{vol_del:?}");
     }
 }
 
@@ -3149,35 +2565,23 @@ mod state_tracking_tests {
             "volume",
             Json::object(vec![("name", Json::Str("v".into()))]),
         )]);
-        monitor.process(
+        let first = monitor.process(
             &RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
                 .auth_token(&admin)
                 .json(body.clone()),
         );
-        assert!(
-            monitor.log()[0].diagnostics.contains(cinder::S_NOT_FULL),
-            "{:?}",
-            monitor.log()[0]
-        );
+        assert!(first.diagnostics.contains(cinder::S_NOT_FULL), "{first:?}");
 
         // Fill to quota: the monitor reports the full-quota state.
+        let mut last = first;
         for _ in 1..cm_cloudsim::DEFAULT_VOLUME_QUOTA {
-            monitor.process(
+            last = monitor.process(
                 &RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
                     .auth_token(&admin)
                     .json(body.clone()),
             );
         }
-        assert!(
-            monitor
-                .log()
-                .last()
-                .unwrap()
-                .diagnostics
-                .contains(cinder::S_FULL),
-            "{:?}",
-            monitor.log().last()
-        );
+        assert!(last.diagnostics.contains(cinder::S_FULL), "{last:?}");
     }
 
     #[test]
@@ -3288,20 +2692,9 @@ mod overload_brownout_tests {
         assert_eq!(monitor.effective_anti_entropy(), 0);
     }
 
-    #[derive(Debug, Default)]
-    struct CapturingRecorder {
-        records: Mutex<Vec<AuditRecord>>,
-    }
-
-    impl AuditRecorder for CapturingRecorder {
-        fn record(&self, record: AuditRecord) {
-            plock(&self.records).push(record);
-        }
-    }
-
     #[test]
     fn record_shed_lands_as_degraded_with_overload_provenance() {
-        let recorder = Arc::new(CapturingRecorder::default());
+        let recorder = Arc::new(cm_audit::MemoryRecorder::new());
         let cloud = PrivateCloud::my_project();
         let pid = cloud.project_id();
         let monitor = cinder_monitor(cloud)
@@ -3315,10 +2708,10 @@ mod overload_brownout_tests {
             cause: cm_httpkit::ShedCause::BudgetExhausted,
         };
         monitor.record_shed(&request, &decision);
-        let records = plock(&recorder.records);
+        let records = recorder.records();
         assert_eq!(records.len(), 1);
         let record = &records[0];
-        assert_eq!(record.verdict, VerdictCode::Degraded);
+        assert_eq!(record.verdict, Verdict::Degraded);
         assert_eq!(record.status, StatusCode::SERVICE_UNAVAILABLE.0);
         assert!(record.diagnostics.contains("overload shed"));
         assert!(record.diagnostics.contains("lane=mutation"));

@@ -30,7 +30,7 @@ pub struct ScenarioResult {
     pub verdict: Verdict,
     /// Security requirements exercised.
     pub requirements: Vec<String>,
-    /// Diagnostics from the monitor log.
+    /// The monitor's diagnostics for the scenario's request.
     pub diagnostics: String,
 }
 
@@ -288,17 +288,12 @@ impl TestOracle {
             .to_string();
 
         let outcome = monitor.process(&request.auth_token(token));
-        let diagnostics = monitor
-            .log()
-            .last()
-            .map(|r| r.diagnostics.clone())
-            .unwrap_or_default();
         ScenarioResult {
             name: name.to_string(),
             role: role.to_string(),
             verdict: outcome.verdict,
             requirements: outcome.requirements,
-            diagnostics,
+            diagnostics: outcome.diagnostics,
         }
     }
 }
@@ -504,17 +499,12 @@ impl TestOracle {
             .expect("fixture user authenticates")
             .to_string();
         let outcome = monitor.process(&request.auth_token(token));
-        let diagnostics = monitor
-            .log()
-            .last()
-            .map(|r| r.diagnostics.clone())
-            .unwrap_or_default();
         ScenarioResult {
             name: name.to_string(),
             role: role.to_string(),
             verdict: outcome.verdict,
             requirements: outcome.requirements,
-            diagnostics,
+            diagnostics: outcome.diagnostics,
         }
     }
 }

@@ -15,11 +15,10 @@
 //! as a diff (the new contract set demands evidence the old trace does
 //! not hold) rather than a failure.
 
-use crate::monitor::{expected_success_status, MonitorBuildError};
-use cm_audit::{AuditRecord, MonitorMode, ReplayContext, VerdictCode};
-use cm_contracts::{
-    generate_with, CompiledContractSet, ContractSet, GenerateOptions, MethodContract,
-};
+use crate::judge::{self, Decision, Judge, PostState};
+use crate::monitor::{merge_contracts, MonitorBuildError, Verdict};
+use cm_audit::{AuditRecord, ReplayContext};
+use cm_contracts::{CompiledContractSet, ContractSet};
 use cm_model::{BehavioralModel, HttpMethod, Trigger};
 use cm_ocl::{EnvView, EvalScratch};
 use cm_rbac::SecurityRequirementsTable;
@@ -31,7 +30,7 @@ pub enum ReplayOutcome {
     /// The record carried enough evidence to reach a verdict.
     Verdict {
         /// The re-derived verdict.
-        verdict: VerdictCode,
+        verdict: Verdict,
         /// The re-derived requirement attribution.
         requirements: Vec<String>,
     },
@@ -41,7 +40,7 @@ pub enum ReplayOutcome {
 }
 
 impl ReplayOutcome {
-    fn verdict(verdict: VerdictCode, requirements: Vec<String>) -> Self {
+    fn verdict(verdict: Verdict, requirements: Vec<String>) -> Self {
         ReplayOutcome::Verdict {
             verdict,
             requirements,
@@ -50,7 +49,7 @@ impl ReplayOutcome {
 
     /// The verdict, when one was reached.
     #[must_use]
-    pub fn as_verdict(&self) -> Option<&VerdictCode> {
+    pub fn as_verdict(&self) -> Option<&Verdict> {
         match self {
             ReplayOutcome::Verdict { verdict, .. } => Some(verdict),
             ReplayOutcome::Indeterminate(_) => None,
@@ -68,7 +67,7 @@ pub struct ReplayEntry {
     /// Request path (as recorded).
     pub path: String,
     /// The verdict the monitor reached at record time.
-    pub recorded: VerdictCode,
+    pub recorded: Verdict,
     /// The requirement ids attributed at record time.
     pub recorded_requirements: Vec<String>,
     /// The outcome under the current contract set.
@@ -206,10 +205,9 @@ impl ReplayEngine {
         }
     }
 
-    /// Generate and merge contracts from behavioural models, mirroring
-    /// `CloudMonitor::generate_multi` (same options, same merge rules),
-    /// so replaying against unchanged models reproduces the monitor's
-    /// verdicts exactly.
+    /// Generate and merge contracts from behavioural models exactly as
+    /// `CloudMonitor::generate_multi` does, so replaying against
+    /// unchanged models reproduces the monitor's verdicts.
     ///
     /// # Errors
     ///
@@ -218,30 +216,9 @@ impl ReplayEngine {
         behaviors: &[&BehavioralModel],
         security: Option<&SecurityRequirementsTable>,
     ) -> Result<Self, MonitorBuildError> {
-        let mut merged = ContractSet::default();
-        for behavior in behaviors {
-            let set = generate_with(
-                behavior,
-                &GenerateOptions {
-                    security,
-                    simplify: false,
-                },
-            )
-            .map_err(|e| MonitorBuildError { message: e.message })?;
-            for contract in set.contracts {
-                if merged.contract_for(&contract.trigger).is_some() {
-                    return Err(MonitorBuildError {
-                        message: format!(
-                            "trigger {} is modelled by more than one state machine",
-                            contract.trigger
-                        ),
-                    });
-                }
-                merged.contracts.push(contract);
-            }
-            merged.states.extend(set.states);
-        }
-        Ok(Self::from_contract_set(merged))
+        Ok(Self::from_contract_set(merge_contracts(
+            behaviors, security,
+        )?))
     }
 
     /// The contract set replay judges against.
@@ -266,211 +243,97 @@ impl ReplayEngine {
         ReplayReport { entries }
     }
 
-    /// The contract governing a record's trigger, if the current set
-    /// models it.
-    fn contract_for(&self, record: &AuditRecord) -> Option<(usize, &MethodContract)> {
-        let (method, resource) = record.trigger.as_ref()?;
-        let method: HttpMethod = method.parse().ok()?;
-        let trigger = Trigger::new(method, resource.as_str());
-        let idx = self.compiled.index_for(&trigger)?;
-        Some((idx, &self.contracts.contracts[idx]))
-    }
-
-    /// Re-classify one record. Follows `CloudMonitor::process_inner`
-    /// branch for branch, with the recorded transport facts standing in
-    /// for the live cloud.
+    /// Re-judge one record: the recorded facts stand in for the live
+    /// cloud, and the monitor's own judge decides.
     pub fn replay_record(&mut self, record: &AuditRecord) -> ReplayOutcome {
-        match &record.context {
-            ReplayContext::Unmodelled => {
-                ReplayOutcome::verdict(VerdictCode::NotModelled, Vec::new())
+        let ReplayEngine {
+            contracts,
+            compiled,
+            scratch,
+        } = self;
+        let (contracts, compiled) = (&*contracts, &*compiled);
+        let judge = record.trigger.as_ref().and_then(|(method, resource)| {
+            let trigger = Trigger::new(method.parse::<HttpMethod>().ok()?, resource.as_str());
+            Some(Judge::new(
+                contracts,
+                compiled,
+                compiled.index_for(&trigger)?,
+            ))
+        });
+        let decided = |d: Decision| ReplayOutcome::verdict(d.verdict, d.requirements);
+        let structural = |verdict: Verdict| ReplayOutcome::verdict(verdict, Vec::new());
+        match (&record.context, judge) {
+            (ReplayContext::Unmodelled, _) => structural(Verdict::NotModelled),
+            (ReplayContext::MethodNotAllowed { enforced: true, .. }, _) => {
+                structural(Verdict::PreBlocked)
             }
-            ReplayContext::MethodNotAllowed { enforced: true, .. } => {
-                ReplayOutcome::verdict(VerdictCode::PreBlocked, Vec::new())
-            }
-            ReplayContext::MethodNotAllowed {
-                enforced: false,
-                cloud_status,
-            } => match cloud_status {
-                Some(s) if StatusCode(*s).is_success() => {
-                    ReplayOutcome::verdict(VerdictCode::WrongAcceptance, Vec::new())
-                }
-                Some(_) => ReplayOutcome::verdict(VerdictCode::Pass, Vec::new()),
+            (ReplayContext::MethodNotAllowed { cloud_status, .. }, _) => match cloud_status {
+                Some(status) => structural(judge::method_not_allowed(StatusCode(*status))),
                 None => ReplayOutcome::Indeterminate(
                     "no cloud response recorded for forwarded method".into(),
                 ),
             },
-            ReplayContext::BadTarget => {
-                ReplayOutcome::verdict(VerdictCode::ContractError, Vec::new())
+            (ReplayContext::BadTarget, _) => structural(Verdict::ContractError),
+            // A drift record carries no evaluation environment to
+            // re-judge — it is the anti-entropy pass's observation, not a
+            // contract decision.
+            (ReplayContext::Drift { .. }, _) => {
+                ReplayOutcome::verdict(Verdict::Drift, record.requirements.clone())
             }
-            ReplayContext::DegradedPre { .. } | ReplayContext::DegradedForward => {
-                // The transport, not the contracts, decided these: the
-                // verdict stays Degraded, but attribution follows the
-                // *current* contract's requirements.
-                match self.contract_for(record) {
-                    Some((_, contract)) => ReplayOutcome::verdict(
-                        VerdictCode::Degraded,
-                        contract.security_requirements.clone(),
-                    ),
-                    None => ReplayOutcome::verdict(VerdictCode::NotModelled, Vec::new()),
-                }
+            // Refused before routing (an overload shed): no contract was
+            // consulted, so the recorded attribution stands.
+            (ReplayContext::DegradedPre { .. }, _) if record.trigger.is_none() => {
+                ReplayOutcome::verdict(Verdict::Degraded, record.requirements.clone())
             }
-            ReplayContext::Drift { .. } => {
-                // A drift record carries no evaluation environment to
-                // re-judge — it is the anti-entropy pass's observation,
-                // not a contract decision. Attribution follows the
-                // current contract set like the degraded arms.
-                match self.contract_for(record) {
-                    Some((_, contract)) => ReplayOutcome::verdict(
-                        VerdictCode::Drift,
-                        contract.security_requirements.clone(),
-                    ),
-                    None => ReplayOutcome::verdict(VerdictCode::Drift, record.requirements.clone()),
-                }
+            // The transport, not the contracts, decided these: the
+            // verdict stays Degraded, but attribution follows the
+            // *current* contract's requirements.
+            (ReplayContext::DegradedPre { .. } | ReplayContext::DegradedForward, Some(judge)) => {
+                decided(judge.degraded(""))
             }
-            ReplayContext::Checked {
-                pre_env,
-                post_env,
-                post_partial,
-                probe_denials,
-                forwarded,
-                cloud_status,
-                // Whether the environment came from the replica or a
-                // probe pass does not change how it re-judges.
-                provenance: _,
-            } => {
-                let Some((idx, _)) = self.contract_for(record) else {
-                    return ReplayOutcome::verdict(VerdictCode::NotModelled, Vec::new());
-                };
-                let contract = &self.contracts.contracts[idx];
-                let compiled = &self.compiled.contracts()[idx];
-                let syms = self.compiled.symbols();
-                let scratch = &mut self.scratch;
-                let method: HttpMethod = match record.method.parse() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        return ReplayOutcome::Indeterminate(format!(
-                            "unknown method {:?}",
-                            record.method
-                        ))
-                    }
-                };
-
+            (_, None) => structural(Verdict::NotModelled),
+            (
+                ReplayContext::Checked {
+                    pre_env,
+                    post_env,
+                    post_partial,
+                    probe_denials,
+                    forwarded,
+                    cloud_status,
+                    // Whether the environment came from the replica or a
+                    // probe pass does not change how it re-judges.
+                    provenance: _,
+                },
+                Some(judge),
+            ) => {
                 let pre_nav = pre_env.to_navigator();
-                let pre_view = EnvView::from_navigator(&pre_nav, syms);
-                compiled.begin_pre(scratch);
-                let pre_ok = match compiled.evaluate_pre(syms, &pre_view, scratch) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return ReplayOutcome::verdict(VerdictCode::ContractError, Vec::new())
+                let pre_view = EnvView::from_navigator(&pre_nav, compiled.symbols());
+                let pre = match judge.pre(record.mode, &pre_view, scratch) {
+                    Ok(pre) => pre,
+                    Err(decision) => return decided(decision),
+                };
+                let status = match (forwarded, cloud_status) {
+                    (false, _) => {
+                        return ReplayOutcome::Indeterminate(
+                            "not forwarded in the recorded trace".into(),
+                        )
                     }
-                };
-                // Same enabled-clause attribution as the monitor's
-                // compiled path (memo table still warm from the pre).
-                let requirements = compiled
-                    .enabled_clause_indices(syms, &pre_view, scratch)
-                    .map(|idxs| {
-                        let mut out: Vec<String> = Vec::new();
-                        for i in idxs {
-                            for r in &contract.clauses[i].security_requirements {
-                                if !out.contains(r) {
-                                    out.push(r.clone());
-                                }
-                            }
-                        }
-                        out
-                    })
-                    .unwrap_or_default();
-
-                if record.mode == MonitorMode::Enforce && !pre_ok {
-                    return ReplayOutcome::verdict(
-                        VerdictCode::PreBlocked,
-                        contract.security_requirements.clone(),
-                    );
-                }
-                if !forwarded {
-                    return ReplayOutcome::Indeterminate(
-                        "not forwarded in the recorded trace".into(),
-                    );
-                }
-                let Some(status) = *cloud_status else {
-                    return ReplayOutcome::Indeterminate("no cloud response recorded".into());
-                };
-                let status = StatusCode(status);
-                let success = status.is_success();
-
-                let verdict = if pre_ok && success {
-                    let expected = expected_success_status(method);
-                    if status != expected {
-                        VerdictCode::WrongStatus {
-                            expected: expected.0,
-                            actual: status.0,
-                        }
-                    } else if *post_partial {
-                        return ReplayOutcome::verdict(
-                            VerdictCode::Degraded,
-                            contract.security_requirements.clone(),
-                        );
-                    } else {
-                        let Some(post_env) = post_env else {
-                            return ReplayOutcome::Indeterminate("no post-state recorded".into());
-                        };
-                        let post_nav = post_env.to_navigator();
-                        let post_view = EnvView::from_navigator(&post_nav, syms);
-                        compiled.begin_post(scratch);
-                        match compiled.evaluate_post(syms, &post_view, &pre_view, scratch) {
-                            Ok(true) => VerdictCode::Pass,
-                            Ok(false) => VerdictCode::PostViolation,
-                            Err(_) => VerdictCode::ContractError,
-                        }
+                    (true, None) => {
+                        return ReplayOutcome::Indeterminate("no cloud response recorded".into())
                     }
-                } else if pre_ok && status.is_gateway_error() {
-                    // The monitor's gateway disambiguation: only a
-                    // holding post-condition convicts; everything else
-                    // is indistinguishable from transport weather.
-                    let executed = if *post_partial {
-                        false
-                    } else if let Some(post_env) = post_env {
-                        let post_nav = post_env.to_navigator();
-                        let post_view = EnvView::from_navigator(&post_nav, syms);
-                        compiled.begin_post(scratch);
-                        compiled
-                            .evaluate_post(syms, &post_view, &pre_view, scratch)
-                            .unwrap_or(false)
-                    } else {
-                        false
-                    };
-                    if executed {
-                        VerdictCode::WrongStatus {
-                            expected: expected_success_status(method).0,
-                            actual: status.0,
-                        }
-                    } else {
-                        return ReplayOutcome::verdict(
-                            VerdictCode::Degraded,
-                            contract.security_requirements.clone(),
-                        );
-                    }
-                } else if pre_ok {
-                    VerdictCode::WrongDenial
-                } else if success {
-                    VerdictCode::WrongAcceptance
-                } else {
-                    VerdictCode::Pass
+                    (true, Some(status)) => StatusCode(*status),
                 };
-
-                // Denied monitor probes surface as wrong denials even on
-                // an otherwise-passing request (monitor parity).
-                let verdict = if verdict == VerdictCode::Pass && !probe_denials.is_empty() {
-                    VerdictCode::WrongDenial
-                } else {
-                    verdict
+                let post = || match post_env {
+                    _ if *post_partial => PostState::Unobservable(String::new()),
+                    Some(env) => PostState::Observed(env.to_navigator()),
+                    None => PostState::Unrecorded,
                 };
-                let requirements = if verdict.is_violation() && requirements.is_empty() {
-                    contract.security_requirements.clone()
-                } else {
-                    requirements
-                };
-                ReplayOutcome::verdict(verdict, requirements)
+                judge
+                    .response(pre, status, probe_denials, &pre_view, scratch, post)
+                    .map_or_else(
+                        || ReplayOutcome::Indeterminate("no post-state recorded".into()),
+                        decided,
+                    )
             }
         }
     }
@@ -479,7 +342,7 @@ impl ReplayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_audit::EnvSnapshot;
+    use cm_audit::{EnvSnapshot, MonitorMode};
     use cm_model::cinder;
     use cm_ocl::{MapNavigator, ObjRef, Value};
 
@@ -514,7 +377,7 @@ mod tests {
     }
 
     fn checked_record(
-        verdict: VerdictCode,
+        verdict: Verdict,
         requirements: Vec<String>,
         mode: MonitorMode,
         pre: EnvSnapshot,
@@ -550,7 +413,7 @@ mod tests {
     #[test]
     fn successful_delete_replays_to_pass() {
         let rec = checked_record(
-            VerdictCode::Pass,
+            Verdict::Pass,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "admin", "available"),
@@ -563,7 +426,7 @@ mod tests {
         assert_eq!(
             report.entries[0].replayed,
             ReplayOutcome::Verdict {
-                verdict: VerdictCode::Pass,
+                verdict: Verdict::Pass,
                 requirements: vec!["1.4".into()],
             }
         );
@@ -572,7 +435,7 @@ mod tests {
     #[test]
     fn unauthorized_delete_replays_to_pre_blocked_in_enforce() {
         let rec = checked_record(
-            VerdictCode::PreBlocked,
+            Verdict::PreBlocked,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "user", "available"),
@@ -587,7 +450,7 @@ mod tests {
     #[test]
     fn unchanged_post_state_replays_to_post_violation() {
         let rec = checked_record(
-            VerdictCode::PostViolation,
+            Verdict::PostViolation,
             vec!["1.4".into()],
             MonitorMode::Observe,
             env(2, "admin", "available"),
@@ -602,7 +465,7 @@ mod tests {
     #[test]
     fn observe_mode_wrong_acceptance_reproduces() {
         let rec = checked_record(
-            VerdictCode::WrongAcceptance,
+            Verdict::WrongAcceptance,
             vec!["1.4".into()],
             MonitorMode::Observe,
             env(2, "user", "available"),
@@ -619,7 +482,7 @@ mod tests {
         // Record a pass under the real model, then replay against a
         // model whose DELETE guard requires a different role.
         let rec = checked_record(
-            VerdictCode::Pass,
+            Verdict::Pass,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "admin", "available"),
@@ -638,13 +501,13 @@ mod tests {
         let report = engine.replay(&[rec]);
         assert_eq!(report.diff_count(), 1);
         let replayed = report.entries[0].replayed.as_verdict().unwrap();
-        assert_ne!(replayed, &VerdictCode::Pass);
+        assert_ne!(replayed, &Verdict::Pass);
     }
 
     #[test]
     fn unmodelled_and_special_contexts_replay_structurally() {
         let mut rec = checked_record(
-            VerdictCode::NotModelled,
+            Verdict::NotModelled,
             Vec::new(),
             MonitorMode::Observe,
             env(1, "admin", "available"),
@@ -657,7 +520,7 @@ mod tests {
         assert_eq!(
             e.replay_record(&rec),
             ReplayOutcome::Verdict {
-                verdict: VerdictCode::NotModelled,
+                verdict: Verdict::NotModelled,
                 requirements: Vec::new()
             }
         );
@@ -667,22 +530,32 @@ mod tests {
         };
         assert_eq!(
             e.replay_record(&rec).as_verdict(),
-            Some(&VerdictCode::WrongAcceptance)
+            Some(&Verdict::WrongAcceptance)
         );
         rec.context = ReplayContext::DegradedForward;
         assert_eq!(
             e.replay_record(&rec),
             ReplayOutcome::Verdict {
-                verdict: VerdictCode::Degraded,
+                verdict: Verdict::Degraded,
                 requirements: vec!["1.4".into()],
             }
         );
+        // An overload shed, as `CloudMonitor::record_shed` writes it:
+        // refused before routing, so it names no trigger.
+        rec.trigger = None;
+        rec.verdict = Verdict::Degraded;
+        rec.context = ReplayContext::DegradedPre {
+            forwarded: false,
+            faults: vec!["overload shed: lane=read cause=budget_exhausted".into()],
+        };
+        let report = e.replay(std::slice::from_ref(&rec));
+        assert!(report.is_clean(), "{:?}", report.entries[0]);
     }
 
     #[test]
     fn missing_post_state_is_indeterminate_and_a_diff() {
         let rec = checked_record(
-            VerdictCode::Pass,
+            Verdict::Pass,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "admin", "available"),
@@ -701,7 +574,7 @@ mod tests {
     #[test]
     fn report_json_counts_match() {
         let good = checked_record(
-            VerdictCode::Pass,
+            Verdict::Pass,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "admin", "available"),
@@ -710,7 +583,7 @@ mod tests {
             Some(204),
         );
         let bad = checked_record(
-            VerdictCode::Pass,
+            Verdict::Pass,
             vec!["1.4".into()],
             MonitorMode::Enforce,
             env(2, "admin", "available"),

@@ -655,7 +655,7 @@ enum MemoVal {
 }
 
 /// Reusable per-evaluation state: the interned locals stack and the memo
-/// slot table. Owned by each monitor log shard so steady-state contract
+/// slot table. Owned by each monitor shard so steady-state contract
 /// evaluation re-uses the same allocations request after request.
 #[derive(Debug, Default)]
 pub struct EvalScratch {

@@ -4,10 +4,12 @@
 //!
 //! Run with: `cargo run --example cinder_monitoring`
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::{PrivateCloud, DEFAULT_VOLUME_QUOTA};
 use cm_core::{cinder_monitor, Mode};
 use cm_model::HttpMethod;
-use cm_rest::{Json, RestRequest};
+use cm_rest::{Json, RestRequest, StatusCode};
+use std::sync::Arc;
 
 fn volume_body(name: &str, size: i64) -> Json {
     Json::object(vec![(
@@ -25,7 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let admin = cloud.issue_token("alice", "alice-pw")?;
     let member = cloud.issue_token("bob", "bob-pw")?;
 
-    let mut monitor = cinder_monitor(cloud)?.mode(Mode::Enforce);
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut monitor = cinder_monitor(cloud)?
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw")?;
 
     println!("walking the Figure 3 state machine through the monitor:");
@@ -91,13 +96,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\nmonitor log ({} requests):", monitor.log().len());
-    for r in monitor.log() {
+    println!("\nmonitor log ({} requests):", recorder.len());
+    for r in recorder.records() {
         println!(
             "  {} {:<24} -> {:<22} [{}] {}",
             r.method,
             r.path,
-            r.status.to_string(),
+            StatusCode(r.status).to_string(),
             r.verdict,
             if r.requirements.is_empty() {
                 String::new()

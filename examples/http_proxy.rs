@@ -10,11 +10,12 @@
 //!
 //! Run with: `cargo run --example http_proxy`
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::PrivateCloud;
 use cm_core::CloudMonitor;
 use cm_httpkit::{AdminRoutes, HttpServer, PooledClient, RemoteService, ServerConfig};
 use cm_model::{cinder, HttpMethod};
-use cm_rest::{Json, RestRequest, SharedRestService};
+use cm_rest::{Json, RestRequest, SharedRestService, StatusCode};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,13 +37,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The generated monitor, wrapping the cloud over the network and
     //    itself served over HTTP (the paper's port 8000).
+    //    Every decision is also recorded — in memory here; `cmcli serve
+    //    --audit-dir` writes the same records to a durable log.
     let remote_cloud = RemoteService::new(cloud_server.local_addr());
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = CloudMonitor::generate(
         &cinder::resource_model(),
         &cinder::behavioral_model(),
         None,
         remote_cloud,
-    )?;
+    )?
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw")?;
     let admin = AdminRoutes::new(monitor.metrics(), monitor.events());
     // Shared, not locked: `process(&self)` is concurrently callable.
@@ -126,10 +131,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nmonitor verdicts:");
-    for r in monitor.log() {
+    for r in recorder.records() {
         println!(
             "  {} {:<20} -> {} [{}]",
-            r.method, r.path, r.status, r.verdict
+            r.method,
+            r.path,
+            StatusCode(r.status),
+            r.verdict
         );
     }
 

@@ -5,10 +5,12 @@
 //!
 //! Run with: `cargo run --example snapshot_monitoring`
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::PrivateCloud;
 use cm_core::{cinder_monitor_extended, Mode};
 use cm_model::HttpMethod;
 use cm_rest::{Json, RestRequest};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cloud = PrivateCloud::my_project();
@@ -16,7 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let admin = cloud.issue_token("alice", "alice-pw")?;
     let carol = cloud.issue_token("carol", "carol-pw")?;
 
-    let mut monitor = cinder_monitor_extended(cloud)?.mode(Mode::Enforce);
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut monitor = cinder_monitor_extended(cloud)?
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw")?;
     println!(
         "extended monitor: {} routes, {} contracts covering SecReq {:?}\n",
@@ -111,6 +116,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\ninvocation log as JSON (fault-localization export):");
-    println!("{}", monitor.log_json().to_compact_string());
+    let summaries = recorder
+        .records()
+        .iter()
+        .zip(0..)
+        .map(|(r, offset)| r.summary_json(offset))
+        .collect();
+    println!("{}", Json::Array(summaries).to_compact_string());
     Ok(())
 }

@@ -136,7 +136,7 @@ fn replay_against_same_contracts_reproduces_the_session() {
     assert_eq!(report.matched(), records.len());
     // Verdict-for-verdict, including Degraded, and requirement ids.
     for (entry, (record, live)) in report.entries.iter().zip(records.iter().zip(&verdicts)) {
-        assert_eq!(entry.recorded, VerdictCode::from(live));
+        assert_eq!(&entry.recorded, live);
         let replayed = entry.replayed.as_verdict().expect("no indeterminates");
         assert_eq!(replayed, &record.verdict, "seq {}", record.seq);
     }

@@ -50,7 +50,7 @@ fn chaos_client() -> Arc<PooledClient> {
 }
 
 /// Cloud behind HTTP, chaos proxy in front, monitor probing and
-/// forwarding through the proxy.
+/// forwarding through the proxy and recording every decision.
 fn chaos_stack(
     cloud: Arc<PrivateCloud>,
     plan: ChaosPlan,
@@ -58,21 +58,24 @@ fn chaos_stack(
     HttpServer,
     ChaosListener,
     cm_core::CloudMonitor<RemoteService>,
+    Arc<MemoryRecorder>,
 ) {
     let handle = Arc::clone(&cloud);
     let server = HttpServer::bind("127.0.0.1:0", Arc::new(move |req| handle.call(&req)))
         .expect("bind cloud server");
     let proxy = ChaosListener::spawn(server.local_addr(), plan).expect("spawn chaos proxy");
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = cinder_monitor(RemoteService::with_client(
         proxy.local_addr(),
         chaos_client(),
     ))
     .expect("generate monitor")
-    .mode(Mode::Observe);
+    .mode(Mode::Observe)
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor
         .authenticate("alice", "alice-pw")
         .expect("authenticate through the clean grace slots");
-    (server, proxy, monitor)
+    (server, proxy, monitor, recorder)
 }
 
 #[test]
@@ -82,7 +85,7 @@ fn chaos_soak_never_mislabels_transport_faults_as_violations() {
     let alice = cloud.issue_token("alice", "alice-pw").unwrap().token;
     // A prime-length schedule so cycling never aligns with the request
     // pattern; 15% of slots inject one of the five fault kinds.
-    let (server, proxy, monitor) =
+    let (server, proxy, monitor, recorder) =
         chaos_stack(Arc::clone(&cloud), ChaosPlan::seeded(0xC7A05, 97, 0.15));
 
     for round in 0..40 {
@@ -116,7 +119,7 @@ fn chaos_soak_never_mislabels_transport_faults_as_violations() {
         "the soak must actually exercise injected faults: {:?}",
         proxy.stats().snapshot()
     );
-    let log = monitor.log();
+    let log = recorder.records();
     // The one invariant that matters: transport weather never turns into
     // a contract verdict against the cloud.
     assert!(
@@ -134,7 +137,7 @@ fn chaos_soak_never_mislabels_transport_faults_as_violations() {
     // Degraded records carry the untested requirement ids (Table I).
     assert!(
         log.iter()
-            .filter(|r| r.verdict == Verdict::Degraded && r.method == HttpMethod::Delete)
+            .filter(|r| r.verdict == Verdict::Degraded && r.method == "DELETE")
             .all(|r| r.requirements.contains(&"1.4".to_string())),
         "degraded verdicts must carry their untestable requirements"
     );
@@ -223,14 +226,14 @@ fn overload_sheds_interleaved_with_chaos_never_become_violations() {
     );
     // Invariant 1: nothing — weather, rung changes, or sheds — produces
     // a contract violation.
+    let records = recorder.records();
     assert!(
-        monitor.log().iter().all(|r| !r.verdict.is_violation()),
+        records.iter().all(|r| !r.verdict.is_violation()),
         "overload+chaos interleaving surfaced a violation: {:?}",
-        monitor.log().iter().find(|r| r.verdict.is_violation())
+        records.iter().find(|r| r.verdict.is_violation())
     );
     // Invariant 2: every shed is on the audit trail as Degraded with
     // overload provenance — never dropped, never anything stronger.
-    let records = recorder.records();
     let shed_records: Vec<_> = records
         .iter()
         .filter(|r| match &r.context {
@@ -284,14 +287,18 @@ fn semantic_mutants_still_die_and_never_hide_as_degraded() {
     let pid = cloud.project_id();
     let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
     cloud.state_mut().create_volume(pid, "v", 1, false).unwrap();
-    let (server, proxy, monitor) = chaos_stack(Arc::clone(&cloud), ChaosPlan::cycle(Vec::new()));
+    let (server, proxy, monitor, recorder) =
+        chaos_stack(Arc::clone(&cloud), ChaosPlan::cycle(Vec::new()));
 
     let outcome = monitor.process(
         &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&carol),
     );
     assert_eq!(outcome.verdict, Verdict::WrongAcceptance, "{outcome:?}");
     assert!(
-        monitor.log().iter().all(|r| r.verdict != Verdict::Degraded),
+        recorder
+            .records()
+            .iter()
+            .all(|r| r.verdict != Verdict::Degraded),
         "a semantic mutant must never be reported as transport degradation"
     );
     proxy.shutdown();
@@ -311,7 +318,8 @@ fn wrong_status_mutant_is_not_degraded_over_the_network() {
     let pid = cloud.project_id();
     let alice = cloud.issue_token("alice", "alice-pw").unwrap().token;
     cloud.state_mut().create_volume(pid, "v", 1, false).unwrap();
-    let (server, proxy, monitor) = chaos_stack(Arc::clone(&cloud), ChaosPlan::cycle(Vec::new()));
+    let (server, proxy, monitor, recorder) =
+        chaos_stack(Arc::clone(&cloud), ChaosPlan::cycle(Vec::new()));
 
     let outcome = monitor.process(
         &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&alice),
@@ -321,7 +329,10 @@ fn wrong_status_mutant_is_not_degraded_over_the_network() {
         matches!(outcome.verdict, Verdict::WrongStatus { .. }),
         "{outcome:?}"
     );
-    assert!(monitor.log().iter().all(|r| r.verdict != Verdict::Degraded));
+    assert!(recorder
+        .records()
+        .iter()
+        .all(|r| r.verdict != Verdict::Degraded));
     proxy.shutdown();
     server.shutdown();
 }

@@ -7,11 +7,13 @@
 //! accounted for exactly once, and fault verdicts stay attributed to
 //! the requests that caused them.
 
+use cm_audit::{AuditRecord, AuditRecorder, MemoryRecorder};
 use cm_cloudsim::{Fault, FaultPlan, PrivateCloud};
 use cm_core::{cinder_monitor, CloudMonitor, Mode, Verdict};
 use cm_httpkit::{ClientConfig, HttpServer, PooledClient, RemoteService, ServerConfig};
 use cm_model::{cinder, HttpMethod};
 use cm_rest::{Json, RestRequest, SharedRestService};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,9 +27,31 @@ fn volume_body(name: &str) -> Json {
     )])
 }
 
+/// The order the durable log sees: seq numbers are unique, and within
+/// each project they ascend in the order the recorder received them.
+fn assert_seq_order(log: &[AuditRecord]) {
+    let mut seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), log.len(), "seq numbers must be unique");
+    let mut last: HashMap<&str, u64> = HashMap::new();
+    for record in log {
+        let mut segments = record.path.split('/').filter(|s| !s.is_empty());
+        if let (Some("v3"), Some(pid)) = (segments.next(), segments.next()) {
+            if let Some(prev) = last.insert(pid, record.seq) {
+                assert!(
+                    prev < record.seq,
+                    "project {pid}: seq {} received after {prev}",
+                    record.seq
+                );
+            }
+        }
+    }
+}
+
 /// 8 client threads × 200 requests through a live `HttpServer` in front
 /// of a shared (un-mutexed) monitor. Every request must come back
-/// well-formed, and the monitor's own accounting — log, per-verdict
+/// well-formed, and the monitor's own accounting — audit records, per-verdict
 /// metrics, event sink including its `dropped` counter — must sum to
 /// exactly the 1600 requests sent.
 ///
@@ -49,7 +73,11 @@ fn soak_eight_threads_against_live_server() {
         .create_volume(pid, "seed", 1, false)
         .unwrap();
 
-    let mut monitor = cinder_monitor(cloud).unwrap().mode(Mode::Enforce);
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut monitor = cinder_monitor(cloud)
+        .unwrap()
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").unwrap();
     // Grab the shared observability handles before sharing the monitor.
     let metrics = monitor.metrics();
@@ -104,8 +132,8 @@ fn soak_eight_threads_against_live_server() {
     );
     server.shutdown();
 
-    // Exactly one log record and one metrics observation per request.
-    let log = monitor.log();
+    // Exactly one audit record and one metrics observation per request.
+    let log = recorder.records();
     assert_eq!(log.len() as u64, TOTAL);
     assert_eq!(metrics.requests(), TOTAL);
     let verdict_sum: u64 = metrics.verdicts.snapshot().iter().map(|(_, n)| n).sum();
@@ -116,13 +144,7 @@ fn soak_eight_threads_against_live_server() {
     let retained = events.tail(usize::MAX).len() as u64;
     assert_eq!(events.dropped() + retained, TOTAL);
 
-    // Global sequence numbers are unique, and the merged log is sorted.
-    let seqs: Vec<u64> = log.iter().map(|r| r.seq).collect();
-    let mut sorted = seqs.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len() as u64, TOTAL, "seq numbers must be unique");
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "log sorted by seq");
+    assert_seq_order(&log);
 
     // The verdict mix is the expected one: no violations on a correct
     // cloud, and the pre-blocked deletes never reached it.
@@ -144,8 +166,8 @@ fn soak_eight_threads_against_live_server() {
 /// creation in one project, while other threads read volumes in other
 /// projects. Every post-violation must be attributed to a faulty POST
 /// — never to a concurrent read — proving one request's snapshots do
-/// not leak into another's post-condition, and per-project log order
-/// must follow the global sequence numbers.
+/// not leak into another's post-condition, and per project the recorder
+/// must receive records in global sequence order.
 #[test]
 fn fault_verdicts_stay_attributed_under_concurrency() {
     const WRITERS: usize = 2;
@@ -177,6 +199,7 @@ fn fault_verdicts_stay_attributed_under_concurrency() {
         })
         .collect();
 
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = CloudMonitor::generate(
         &cinder::resource_model(),
         &cinder::behavioral_model(),
@@ -184,7 +207,8 @@ fn fault_verdicts_stay_attributed_under_concurrency() {
         cloud,
     )
     .unwrap()
-    .mode(Mode::Observe);
+    .mode(Mode::Observe)
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     for pid in 1..=3 {
         monitor
             .authenticate_scoped("alice", "alice-pw", pid)
@@ -229,12 +253,9 @@ fn fault_verdicts_stay_attributed_under_concurrency() {
         w.join().expect("no worker panicked");
     }
 
-    let log = monitor.log();
+    let log = recorder.records();
     assert_eq!(log.len(), WRITERS * OPS + READERS * OPS);
-    let posts: Vec<_> = log
-        .iter()
-        .filter(|r| r.method == HttpMethod::Post)
-        .collect();
+    let posts: Vec<_> = log.iter().filter(|r| r.method == "POST").collect();
     assert_eq!(posts.len(), WRITERS * OPS);
     assert!(
         posts
@@ -244,24 +265,13 @@ fn fault_verdicts_stay_attributed_under_concurrency() {
     );
     assert!(
         log.iter()
-            .filter(|r| r.method == HttpMethod::Get)
+            .filter(|r| r.method == "GET")
             .all(|r| r.verdict == Verdict::Pass),
         "no violation leaked into a concurrent read"
     );
     // Same-resource requests keep serial order: within each project the
-    // global seq numbers of its records are strictly increasing.
-    for pid in 1..=3u64 {
-        let prefix = format!("/v3/{pid}/");
-        let seqs: Vec<u64> = log
-            .iter()
-            .filter(|r| r.path.starts_with(&prefix))
-            .map(|r| r.seq)
-            .collect();
-        assert!(
-            seqs.windows(2).all(|w| w[0] < w[1]),
-            "project {pid} log out of order: {seqs:?}"
-        );
-    }
+    // recorder receives strictly increasing global seq numbers.
+    assert_seq_order(&log);
 }
 
 /// Backend flap under concurrency: the cloud dies mid-soak and comes
@@ -300,9 +310,11 @@ fn backend_flap_yields_exact_degraded_and_pass_counts() {
         breaker_cooldown: Duration::from_millis(150),
         ..ClientConfig::default()
     }));
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = cinder_monitor(RemoteService::with_client(addr, Arc::clone(&client)))
         .unwrap()
-        .mode(Mode::Enforce);
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").unwrap();
     let monitor = Arc::new(monitor);
 
@@ -388,7 +400,7 @@ fn backend_flap_yields_exact_degraded_and_pass_counts() {
     );
 
     // Exact ledger: every request is accounted for in the expected bucket.
-    let log = monitor.log();
+    let log = recorder.records();
     let total = THREADS * (HEALTHY + OUTAGE + RECOVERED) + 1;
     assert_eq!(log.len(), total);
     let degraded = log

@@ -4,11 +4,13 @@
 //! and never reports a violation — a correct cloud under arbitrary
 //! traffic must not produce false positives.
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::PrivateCloud;
 use cm_core::{cinder_monitor_extended, Mode, Verdict};
 use cm_model::HttpMethod;
 use cm_obs::XorShift64Star;
 use cm_rest::{Json, RestRequest};
+use std::sync::Arc;
 
 fn random_path(rng: &mut XorShift64Star, pid: u64) -> String {
     let templates = [
@@ -61,7 +63,11 @@ fn monitor_survives_random_traffic_without_false_positives() {
         .iter()
         .map(|u| cloud.issue_token(u, &format!("{u}-pw")).unwrap().token)
         .collect();
-    let mut monitor = cinder_monitor_extended(cloud).unwrap().mode(Mode::Observe);
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut monitor = cinder_monitor_extended(cloud)
+        .unwrap()
+        .mode(Mode::Observe)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").unwrap();
 
     const ROUNDS: usize = 600;
@@ -80,25 +86,19 @@ fn monitor_survives_random_traffic_without_false_positives() {
         let outcome = monitor.process(&req);
         assert!(
             !outcome.verdict.is_violation(),
-            "false positive at round {i}: {:?} for {:?}",
-            monitor.log().last(),
-            req
+            "false positive at round {i}: {outcome:?} for {req:?}"
         );
         // ContractError is acceptable only for unparsable ids (bad project
         // id → 400), never for well-formed requests.
         if outcome.verdict == Verdict::ContractError {
-            assert_eq!(outcome.response.status.0, 400, "{:?}", monitor.log().last());
+            assert_eq!(outcome.response.status.0, 400, "{outcome:?}");
         }
     }
-    assert_eq!(monitor.log().len(), ROUNDS);
+    let log = recorder.records();
+    assert_eq!(log.len(), ROUNDS);
     // The soak exercised a healthy mix of verdict classes.
-    let passes = monitor
-        .log()
-        .iter()
-        .filter(|r| r.verdict == Verdict::Pass)
-        .count();
-    let unmodelled = monitor
-        .log()
+    let passes = log.iter().filter(|r| r.verdict == Verdict::Pass).count();
+    let unmodelled = log
         .iter()
         .filter(|r| r.verdict == Verdict::NotModelled)
         .count();

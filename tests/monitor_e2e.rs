@@ -2,6 +2,7 @@
 //! network deployment (HTTP client → monitor proxy over TCP → cloud over
 //! TCP) and the mutation experiment through the public API.
 
+use cm_audit::{AuditRecorder, MemoryRecorder};
 use cm_cloudsim::{Fault, FaultPlan, PrivateCloud};
 use cm_core::{cinder_monitor, CloudMonitor, Mode, TestOracle, Verdict};
 use cm_httpkit::{send, HttpServer, RemoteService};
@@ -63,6 +64,7 @@ fn monitored_network_deployment_end_to_end() {
             .expect("bind cloud");
 
     // Monitor wrapping the cloud over TCP, itself behind HTTP.
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = CloudMonitor::generate(
         &cinder::resource_model(),
         &cinder::behavioral_model(),
@@ -70,7 +72,8 @@ fn monitored_network_deployment_end_to_end() {
         RemoteService::new(cloud_server.local_addr()),
     )
     .expect("generates")
-    .mode(Mode::Enforce);
+    .mode(Mode::Enforce)
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor
         .authenticate("alice", "alice-pw")
         .expect("admin credentials over TCP");
@@ -153,8 +156,7 @@ fn monitored_network_deployment_end_to_end() {
     assert_eq!(deleted.status, StatusCode::NO_CONTENT);
 
     // Monitor saw exactly these modelled requests.
-    let log = monitor.log();
-    let verdicts: Vec<Verdict> = log.iter().map(|r| r.verdict.clone()).collect();
+    let verdicts: Vec<Verdict> = recorder.records().into_iter().map(|r| r.verdict).collect();
     assert!(verdicts.contains(&Verdict::PreBlocked));
     assert_eq!(verdicts.iter().filter(|v| **v == Verdict::Pass).count(), 2);
 

@@ -1,11 +1,12 @@
 //! Observability end-to-end: the monitor's metrics registry and event
-//! sink must agree exactly with its own request log — first checked
+//! sink must agree exactly with its audit records — first checked
 //! in-process over a mixed pass / pre-block / post-violation scenario,
 //! then through the `/-/metrics` and `/-/events` admin endpoints of a
 //! live HTTP deployment.
 
+use cm_audit::{AuditRecord, AuditRecorder, MemoryRecorder};
 use cm_cloudsim::{Fault, FaultPlan, PrivateCloud};
-use cm_core::{cinder_monitor, CloudMonitor, Mode, MonitorRecord, Verdict};
+use cm_core::{cinder_monitor, CloudMonitor, Mode, Verdict};
 use cm_httpkit::{send, AdminRoutes, HttpServer, RemoteService};
 use cm_model::{cinder, HttpMethod};
 use cm_rest::{Json, RestRequest, SharedRestService, StatusCode};
@@ -22,9 +23,9 @@ fn volume_body(name: &str) -> Json {
     )])
 }
 
-/// Independent recount of the monitor's log: verdict-label counts and
+/// Independent recount of the audit records: verdict-label counts and
 /// per-requirement counts, the ground truth the metrics must match.
-fn recount(log: &[MonitorRecord]) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+fn recount(log: &[AuditRecord]) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
     let mut verdicts: BTreeMap<String, u64> = BTreeMap::new();
     let mut requirements: BTreeMap<String, u64> = BTreeMap::new();
     for record in log {
@@ -38,8 +39,8 @@ fn recount(log: &[MonitorRecord]) -> (BTreeMap<String, u64>, BTreeMap<String, u6
 
 /// A monitor over a faulty cloud (lost update on volume create) that has
 /// processed a pass, a post-violation, a pre-block, and an unmodelled
-/// request.
-fn mixed_scenario_monitor() -> (CloudMonitor<PrivateCloud>, u64) {
+/// request, with the recorder that received its audit records.
+fn mixed_scenario_monitor() -> (CloudMonitor<PrivateCloud>, Arc<MemoryRecorder>, u64) {
     let plan = FaultPlan::single(Fault::DropStateChange {
         action: "volume:post".into(),
     });
@@ -51,7 +52,11 @@ fn mixed_scenario_monitor() -> (CloudMonitor<PrivateCloud>, u64) {
         .state_mut()
         .create_volume(pid, "seed", 1, false)
         .unwrap();
-    let mut monitor = cinder_monitor(cloud).unwrap().mode(Mode::Enforce);
+    let recorder = Arc::new(MemoryRecorder::new());
+    let mut monitor = cinder_monitor(cloud)
+        .unwrap()
+        .mode(Mode::Enforce)
+        .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").unwrap();
 
     // pass
@@ -83,14 +88,14 @@ fn mixed_scenario_monitor() -> (CloudMonitor<PrivateCloud>, u64) {
         )])),
     );
     assert_eq!(outcome.verdict, Verdict::NotModelled, "{outcome:?}");
-    (monitor, pid)
+    (monitor, recorder, pid)
 }
 
 #[test]
 fn metrics_equal_an_independent_recount_of_the_log() {
-    let (monitor, _pid) = mixed_scenario_monitor();
+    let (monitor, recorder, _pid) = mixed_scenario_monitor();
     let metrics = monitor.metrics();
-    let log = monitor.log();
+    let log = recorder.records();
     assert_eq!(log.len(), 4);
 
     let (verdicts, requirements) = recount(&log);
@@ -134,15 +139,15 @@ fn metrics_equal_an_independent_recount_of_the_log() {
 
 #[test]
 fn event_tail_mirrors_the_log_in_order() {
-    let (monitor, pid) = mixed_scenario_monitor();
+    let (monitor, recorder, pid) = mixed_scenario_monitor();
     let events = monitor.events().tail(100);
-    let log = monitor.log();
+    let log = recorder.records();
     assert_eq!(events.len(), log.len());
     for (event, record) in events.iter().zip(&log) {
         assert_eq!(event.path, record.path);
         assert_eq!(event.verdict, record.verdict.to_string());
         assert_eq!(event.requirements, record.requirements);
-        assert_eq!(event.status, record.status.0);
+        assert_eq!(event.status, record.status);
         assert_eq!(event.violation, record.verdict.is_violation());
     }
     // Sequence numbers are emission-ordered.
@@ -176,6 +181,7 @@ fn admin_endpoints_serve_live_metrics_over_http() {
         HttpServer::bind("127.0.0.1:0", Arc::new(move |req| cloud_handle.call(&req)))
             .expect("bind cloud");
 
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = CloudMonitor::generate(
         &cinder::resource_model(),
         &cinder::behavioral_model(),
@@ -183,7 +189,8 @@ fn admin_endpoints_serve_live_metrics_over_http() {
         RemoteService::new(cloud_server.local_addr()),
     )
     .expect("generates")
-    .mode(Mode::Enforce);
+    .mode(Mode::Enforce)
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor
         .authenticate("alice", "alice-pw")
         .expect("authenticates");
@@ -261,7 +268,7 @@ fn admin_endpoints_serve_live_metrics_over_http() {
         send(cm, &RestRequest::new(HttpMethod::Get, "/-/metrics")).expect("metrics over TCP");
     assert_eq!(metrics_response.status, StatusCode::OK);
     let body = metrics_response.body.expect("metrics body");
-    let log = monitor.log();
+    let log = recorder.records();
     let (verdicts, requirements) = recount(&log);
     assert_eq!(
         body.get("requests").unwrap().as_int(),
@@ -332,10 +339,10 @@ fn admin_endpoints_serve_live_metrics_over_http() {
     assert_eq!(events_body.get("dropped").unwrap().as_int(), Some(0));
 
     // Unknown admin paths 404 without reaching the monitor.
-    let before = monitor.log().len();
+    let before = recorder.len();
     let missing = send(cm, &RestRequest::new(HttpMethod::Get, "/-/nope")).expect("404 over TCP");
     assert_eq!(missing.status, StatusCode::NOT_FOUND);
-    assert_eq!(monitor.log().len(), before);
+    assert_eq!(recorder.len(), before);
 
     monitor_server.shutdown();
     cloud_server.shutdown();

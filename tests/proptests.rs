@@ -505,13 +505,14 @@ proptest! {
     /// Concurrency determinism: requests over *disjoint* projects yield
     /// the same multiset of (method, path, verdict, requirements) whether
     /// the projects are driven round-robin from one thread or from one
-    /// thread each, and within a project the threaded log — ordered by
-    /// global sequence number — matches the serial submission order
+    /// thread each, and within a project the records the threaded
+    /// monitor's recorder received match the serial submission order
     /// exactly.
     #[test]
     fn concurrent_disjoint_projects_match_serial(
         plans in prop::collection::vec(prop::collection::vec(0usize..3, 1..8), 3),
     ) {
+        use cm_audit::{AuditRecorder, MemoryRecorder};
         use cm_cloudsim::PrivateCloud;
         use cm_core::{cinder_monitor, CloudMonitor, Mode};
         use cm_model::HttpMethod;
@@ -520,7 +521,7 @@ proptest! {
 
         const PROJECTS: usize = 3;
 
-        fn fixture() -> (CloudMonitor<PrivateCloud>, Vec<String>) {
+        fn fixture() -> (CloudMonitor<PrivateCloud>, Arc<MemoryRecorder>, Vec<String>) {
             let cloud = PrivateCloud::multi_project(PROJECTS);
             let mut tokens = Vec::new();
             for pid in 1..=PROJECTS as u64 {
@@ -528,11 +529,15 @@ proptest! {
                 cloud.state_of(pid).create_volume(pid, "seed", 1, false).unwrap();
                 tokens.push(cloud.issue_token_scoped("alice", "alice-pw", pid).unwrap().token);
             }
-            let mut monitor = cinder_monitor(cloud).unwrap().mode(Mode::Enforce);
+            let recorder = Arc::new(MemoryRecorder::new());
+            let mut monitor = cinder_monitor(cloud)
+                .unwrap()
+                .mode(Mode::Enforce)
+                .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
             for pid in 1..=PROJECTS as u64 {
                 monitor.authenticate_scoped("alice", "alice-pw", pid).unwrap();
             }
-            (monitor, tokens)
+            (monitor, recorder, tokens)
         }
 
         fn request(op: usize, pid: u64, token: &str) -> RestRequest {
@@ -554,9 +559,10 @@ proptest! {
         }
 
         type Obs = (String, String, String, Vec<String>);
-        fn observations(monitor: &CloudMonitor<PrivateCloud>) -> Vec<Obs> {
-            monitor
-                .log()
+        /// The records in the order the recorder received them.
+        fn observations(recorder: &MemoryRecorder) -> Vec<Obs> {
+            recorder
+                .records()
                 .iter()
                 .map(|r| {
                     (
@@ -570,7 +576,7 @@ proptest! {
         }
 
         // Serial reference: round-robin the projects in one thread.
-        let (serial, tokens) = fixture();
+        let (serial, serial_recorder, tokens) = fixture();
         let longest = plans.iter().map(Vec::len).max().unwrap_or(0);
         for step in 0..longest {
             for (i, plan) in plans.iter().enumerate() {
@@ -579,10 +585,10 @@ proptest! {
                 }
             }
         }
-        let serial_log = observations(&serial);
+        let serial_log = observations(&serial_recorder);
 
         // Concurrent run on an identical fixture: one thread per project.
-        let (threaded, tokens) = fixture();
+        let (threaded, threaded_recorder, tokens) = fixture();
         let threaded = Arc::new(threaded);
         let workers: Vec<_> = plans
             .iter()
@@ -601,7 +607,7 @@ proptest! {
         for w in workers {
             w.join().unwrap();
         }
-        let threaded_log = observations(&threaded);
+        let threaded_log = observations(&threaded_recorder);
 
         // Same multiset of observations regardless of interleaving…
         let mut serial_sorted = serial_log.clone();
@@ -610,8 +616,8 @@ proptest! {
         threaded_sorted.sort();
         prop_assert_eq!(&serial_sorted, &threaded_sorted);
 
-        // …and per project the seq-ordered threaded log replays the
-        // serial submission order exactly.
+        // …and per project the threaded recorder received the records
+        // in the serial submission order exactly.
         for pid in 1..=PROJECTS as u64 {
             let prefix = format!("/v3/{pid}/");
             let by_project = |log: &[Obs]| -> Vec<Obs> {
@@ -789,14 +795,17 @@ proptest! {
         plan in prop::collection::vec((0usize..6, any::<bool>()), 1..12),
         anti_entropy_every in 0u64..5,
     ) {
+        use cm_audit::{AuditRecorder, MemoryRecorder};
         use cm_cloudsim::PrivateCloud;
         use cm_core::{cinder_monitor_extended, CloudMonitor, Mode, SnapshotPolicy, Verdict};
         use cm_model::HttpMethod;
         use cm_rest::RestRequest;
+        use std::sync::Arc;
 
         fn fixture(
             policy: SnapshotPolicy,
             anti_entropy_every: u64,
+            recorder: Arc<MemoryRecorder>,
         ) -> (CloudMonitor<PrivateCloud>, u64, u64, u64, String, String) {
             let cloud = PrivateCloud::my_project();
             let pid = cloud.project_id();
@@ -812,7 +821,8 @@ proptest! {
                 .unwrap()
                 .mode(Mode::Observe)
                 .snapshot_policy(policy)
-                .anti_entropy_every(anti_entropy_every);
+                .anti_entropy_every(anti_entropy_every)
+                .audit_recorder(recorder as Arc<dyn AuditRecorder>);
             monitor.authenticate("alice", "alice-pw").unwrap();
             (monitor, pid, vid, sid, admin, carol)
         }
@@ -847,9 +857,11 @@ proptest! {
             base.auth_token(token)
         }
 
+        let recorder = Arc::new(MemoryRecorder::new());
         let (replica, pid, vid, sid, admin, carol) =
-            fixture(SnapshotPolicy::Replica, anti_entropy_every);
-        let (full, _, _, _, _, _) = fixture(SnapshotPolicy::Full, 0);
+            fixture(SnapshotPolicy::Replica, anti_entropy_every, Arc::clone(&recorder));
+        let (full, _, _, _, _, _) =
+            fixture(SnapshotPolicy::Full, 0, Arc::new(MemoryRecorder::new()));
         for (op, as_admin) in plan {
             let token = if as_admin { &admin } else { &carol };
             let req = request(op, pid, vid, sid, token);
@@ -862,12 +874,103 @@ proptest! {
             );
             prop_assert_eq!(a.response.status, b.response.status);
         }
-        let drifted: Vec<_> = replica
-            .log()
+        let drifted: Vec<_> = recorder
+            .records()
             .into_iter()
             .filter(|r| r.verdict == Verdict::Drift)
             .collect();
         prop_assert!(drifted.is_empty(), "phantom drift: {:?}", drifted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Replay ≡ live over the mutant catalog: a monitor over a cloud
+    /// carrying any one mutant of the full catalog (or none), under
+    /// either binding and either mode, records an arbitrary volume and
+    /// snapshot script; replaying the recorded trace against the same
+    /// models must re-derive every verdict and requirement id.
+    #[test]
+    fn replay_matches_live(
+        script in prop::collection::vec((0usize..7, 0usize..3, 0u64..2), 1..12),
+        mutant in 0usize..1024,
+        replica in any::<bool>(),
+        anti_entropy_every in 0u64..4,
+        observe in any::<bool>(),
+    ) {
+        use cm_audit::{AuditRecorder, MemoryRecorder};
+        use cm_cloudsim::{FaultPlan, PrivateCloud};
+        use cm_core::{cinder_monitor_extended, Mode, ReplayEngine, SnapshotPolicy};
+        use cm_model::{cinder, HttpMethod};
+        use cm_rest::RestRequest;
+        use std::sync::Arc;
+
+        let catalog = cm_mutation::full_catalog();
+        let plan = catalog
+            .get(mutant % (catalog.len() + 1))
+            .map_or_else(FaultPlan::none, |m| m.plan.clone());
+        let cloud = PrivateCloud::my_project().with_faults(plan);
+        let pid = cloud.project_id();
+        let vid = cloud
+            .state_mut()
+            .create_volume(pid, "seed", 1, false)
+            .unwrap()
+            .id;
+        let sid = cloud.state_mut().create_snapshot(pid, vid, "s").unwrap().id;
+        // A mutant may refuse a fixture login; the request then goes out
+        // without a token, which the monitor judges all the same.
+        let tokens: Vec<String> = ["alice", "bob", "carol"]
+            .iter()
+            .map(|u| {
+                cloud
+                    .issue_token(u, &format!("{u}-pw"))
+                    .map(|t| t.token)
+                    .unwrap_or_default()
+            })
+            .collect();
+        let recorder = Arc::new(MemoryRecorder::new());
+        let mut monitor = cinder_monitor_extended(cloud)
+            .unwrap()
+            .mode(if observe { Mode::Observe } else { Mode::Enforce })
+            .snapshot_policy(if replica {
+                SnapshotPolicy::Replica
+            } else {
+                SnapshotPolicy::Full
+            })
+            .anti_entropy_every(anti_entropy_every)
+            .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
+        let _ = monitor.authenticate("alice", "alice-pw");
+
+        for (op, user, offset) in script {
+            let (v, s) = (vid + offset, sid + offset);
+            let volume = format!("/v3/{pid}/volumes");
+            let body = |kind: &str| {
+                Json::object(vec![(kind, Json::object(vec![("name", Json::Str("prop".into()))]))])
+            };
+            let request = match op {
+                0 => RestRequest::new(HttpMethod::Post, volume).json(body("volume")),
+                1 => RestRequest::new(HttpMethod::Get, format!("{volume}/{v}")),
+                2 => RestRequest::new(HttpMethod::Put, format!("{volume}/{v}")).json(body("volume")),
+                3 => RestRequest::new(HttpMethod::Delete, format!("{volume}/{v}")),
+                4 => RestRequest::new(HttpMethod::Post, format!("{volume}/{vid}/snapshots"))
+                    .json(body("snapshot")),
+                5 => RestRequest::new(HttpMethod::Get, format!("{volume}/{vid}/snapshots/{s}")),
+                _ => RestRequest::new(HttpMethod::Delete, format!("{volume}/{vid}/snapshots/{s}")),
+            };
+            monitor.process(&request.auth_token(&tokens[user]));
+        }
+
+        let mut engine = ReplayEngine::from_behaviors(
+            &[
+                &cinder::extended_behavioral_model(),
+                &cinder::snapshot_behavioral_model(),
+            ],
+            None,
+        )
+        .unwrap();
+        let report = engine.replay(&recorder.records());
+        prop_assert!(report.is_clean(), "{}", report.to_json().to_pretty_string());
     }
 }
 

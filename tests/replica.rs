@@ -3,6 +3,7 @@
 //! chaos invariant that transport weather during reconciliation makes
 //! the replica *stale*, never *wrong*.
 
+use cm_audit::{AuditRecord, AuditRecorder, MemoryRecorder};
 use cm_cloudsim::{PrivateCloud, VolumeStatus};
 use cm_core::{cinder_monitor, CloudMonitor, Mode, SnapshotPolicy, Verdict};
 use cm_model::HttpMethod;
@@ -40,6 +41,7 @@ impl SharedRestService for Instrumented {
 struct Fixture {
     cloud: Arc<PrivateCloud>,
     monitor: CloudMonitor<Instrumented>,
+    recorder: Arc<MemoryRecorder>,
     gets: Arc<AtomicU64>,
     fail_quota_probes: Arc<AtomicBool>,
     pid: u64,
@@ -58,6 +60,7 @@ fn fixture(anti_entropy_every: u64) -> Fixture {
     let token = cloud.issue_token("alice", "alice-pw").unwrap().token;
     let gets = Arc::new(AtomicU64::new(0));
     let fail_quota_probes = Arc::new(AtomicBool::new(false));
+    let recorder = Arc::new(MemoryRecorder::new());
     let mut monitor = cinder_monitor(Instrumented {
         cloud: Arc::clone(&cloud),
         gets: Arc::clone(&gets),
@@ -66,11 +69,13 @@ fn fixture(anti_entropy_every: u64) -> Fixture {
     .unwrap()
     .mode(Mode::Observe)
     .snapshot_policy(SnapshotPolicy::Replica)
-    .anti_entropy_every(anti_entropy_every);
+    .anti_entropy_every(anti_entropy_every)
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor.authenticate("alice", "alice-pw").unwrap();
     Fixture {
         cloud,
         monitor,
+        recorder,
         gets,
         fail_quota_probes,
         pid,
@@ -84,9 +89,9 @@ fn get_volume(f: &Fixture) -> RestRequest {
         .auth_token(&f.token)
 }
 
-fn drift_records(f: &Fixture) -> Vec<cm_core::MonitorRecord> {
-    f.monitor
-        .log()
+fn drift_records(f: &Fixture) -> Vec<AuditRecord> {
+    f.recorder
+        .records()
         .into_iter()
         .filter(|r| r.verdict == Verdict::Drift)
         .collect()

@@ -36,8 +36,8 @@ stages (run exactly what is named, in the order given, deduplicated):
   features   feature-gated targets compile (proptest suite, criterion benches)
   smoke      bench binaries in --smoke mode (writes BENCH_*.smoke.json)
   stress     concurrency soak battery (debug + release + determinism property)
-  transport  reactor lifecycle/pipelining battery, proxy smoke with
-             response parity across both engines
+  transport  reactor lifecycle/pipelining battery (byte-identical to the
+             worker pool), engine-agnostic transport battery
   chaos      transport-chaos battery (fault soak, flap ledger, recovery smoke)
   campaign   kill-matrix campaign vs committed baseline + static RBAC lint
   audit      durable-log battery (SIGKILL crash recovery, proptest framing
@@ -46,7 +46,7 @@ stages (run exactly what is named, in the order given, deduplicated):
   replica    shadow-replica battery (drift detection, anti-entropy chaos,
              replica/full differential property, bench smoke)
   overload   overload-control battery (shed storm, admin-lane immunity,
-             brownout ladder, overload x chaos interleaving, bench smoke)
+             shed provenance, overload x chaos interleaving, bench smoke)
   ledger     perf_ledger benchmark: its unit tests and a --smoke run
              (writes only perf_ledger/out/ and perf_ledger/target/)
 
@@ -125,7 +125,7 @@ stage_smoke() {
   step "bench smoke: contract_eval (parity assertions, smoke artifact)"
   cargo run --offline --release -p cm-bench --bin contract_eval -q -- --smoke
 
-  step "bench smoke: proxy_throughput (response parity over live TCP, smoke artifact)"
+  step "bench smoke: proxy_throughput (overload sweep over live TCP, smoke artifact)"
   cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke
 }
 
@@ -147,9 +147,6 @@ stage_transport() {
 
   step "transport: engine-agnostic transport battery + unit suite"
   cargo test --offline -p cm-httpkit -q
-
-  step "bench smoke: proxy_throughput (parity across worker pool and reactor)"
-  cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke
 }
 
 stage_chaos() {
@@ -222,10 +219,9 @@ stage_overload() {
   cargo test --offline --release --test chaos_transport -q \
     overload_sheds_interleaved_with_chaos_never_become_violations
 
-  step "overload: brownout ladder + shed provenance unit suites"
-  cargo test --offline -p cm-core -q brownout
+  step "overload: shed provenance + overload stats unit suites"
+  cargo test --offline -p cm-core -q record_shed
   cargo test --offline -p cm-obs -q
-  cargo test --offline -p cm-audit -q brownout_signal_relaxes_group_fsync
 
   step "bench smoke: proxy_throughput (overload sweep rides along)"
   cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke

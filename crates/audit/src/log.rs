@@ -27,7 +27,7 @@ use crate::recover::{
     recover_with, segment_file_name, segment_header, sync_dir, write_checkpoint, RecoveryReport,
     SegmentInfo,
 };
-use cm_obs::{BrownoutSignal, MetricsRegistry, StreamBatch, TailStream};
+use cm_obs::{MetricsRegistry, StreamBatch, TailStream};
 use cm_rest::Json;
 use std::collections::VecDeque;
 use std::fs;
@@ -64,13 +64,6 @@ pub struct AuditLogOptions {
     /// (`None` keeps the count-based retention alone). Age is the
     /// segment file's last write; the active segment never expires.
     pub max_age: Option<Duration>,
-    /// Brownout ladder signal: while it reports
-    /// [`BrownoutSignal::audit_relaxed`] (step ≥ 2), group commits skip
-    /// the per-group fsync — durability downgrades to flush-on-rotation
-    /// (rotation and shutdown always sync). Each skipped sync counts as
-    /// `audit.relaxed_commits`. The record *stream* is unaffected:
-    /// every record is still written, in order.
-    pub durability_signal: Option<Arc<BrownoutSignal>>,
 }
 
 impl Default for AuditLogOptions {
@@ -83,7 +76,6 @@ impl Default for AuditLogOptions {
             tail_capacity: 1024,
             fsync: true,
             max_age: None,
-            durability_signal: None,
         }
     }
 }
@@ -349,25 +341,11 @@ impl Writer {
         for record in batch {
             encode_frame(&encode_record(record), &mut buf);
         }
-        // Brownout step ≥ 3 downgrades durability to flush-on-rotation:
-        // the group is written (ordered, recoverable up to the last
-        // page the kernel flushed) but the per-group fsync is skipped.
-        let relaxed = self.options.fsync
-            && self
-                .options
-                .durability_signal
-                .as_ref()
-                .is_some_and(|signal| signal.audit_relaxed());
-        if relaxed {
-            if let Some(metrics) = &self.shared.metrics {
-                metrics.audit.increment("relaxed_commits");
-            }
-        }
         let written = self
             .active
             .write_all(&buf)
             .and_then(|()| {
-                if self.options.fsync && !relaxed {
+                if self.options.fsync {
                     self.active.sync_data()
                 } else {
                     Ok(())
@@ -799,42 +777,6 @@ mod tests {
         assert!(segment_files(&dir).contains(&"segment-00000000000000000000.log".to_string()));
         let (records, _) = recover(&dir).unwrap();
         assert_eq!(records.len(), 40);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn brownout_signal_relaxes_group_fsync_but_commits_every_record() {
-        let dir = tmp("relaxed");
-        let signal = Arc::new(BrownoutSignal::new());
-        let metrics = Arc::new(MetricsRegistry::new());
-        let options = AuditLogOptions {
-            durability_signal: Some(Arc::clone(&signal)),
-            ..small_options()
-        };
-        let (log, _) = AuditLog::open(&dir, options, Some(Arc::clone(&metrics))).unwrap();
-        for i in 0..5 {
-            log.append(record(i));
-        }
-        log.flush().unwrap();
-        assert_eq!(metrics.audit.get("relaxed_commits"), 0);
-        // Step 2: commits keep flowing, fsync per group is skipped.
-        signal.set_step(2);
-        for i in 5..10 {
-            log.append(record(i));
-            log.flush().unwrap();
-        }
-        assert_eq!(log.committed(), 10);
-        assert!(metrics.audit.get("relaxed_commits") >= 1);
-        // Stepping back down restores the per-group sync.
-        signal.set_step(0);
-        let relaxed = metrics.audit.get("relaxed_commits");
-        log.append(record(10));
-        log.flush().unwrap();
-        assert_eq!(metrics.audit.get("relaxed_commits"), relaxed);
-        drop(log);
-        // Every record — relaxed or not — is on disk after shutdown.
-        let records = read_records(&dir).unwrap();
-        assert_eq!(records.len(), 11);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -37,9 +37,6 @@ fn main() -> ExitCode {
 /// value.
 const SERVE_VALUE_FLAGS: &[&str] = &[
     "--port",
-    "--workers",
-    "--keep-alive",
-    "--transport",
     "--degraded-policy",
     "--snapshot-policy",
     "--anti-entropy-every",
@@ -193,30 +190,6 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
                     .and_then(|p| p.parse().ok())
                     .ok_or(CliError("--port needs a number".into()))?;
             }
-            let mut workers = cm_httpkit::ServerConfig::default().workers;
-            if let Some(pos) = rest.iter().position(|a| *a == "--workers") {
-                workers = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError("--workers needs a positive number".into()))?;
-            }
-            let mut keep_alive = true;
-            if let Some(pos) = rest.iter().position(|a| *a == "--keep-alive") {
-                keep_alive = match rest.get(pos + 1) {
-                    Some(&"on") => true,
-                    Some(&"off") => false,
-                    _ => return Err(CliError("--keep-alive needs on|off".into())),
-                };
-            }
-            let mut transport = cm_httpkit::ServerConfig::default().transport;
-            if let Some(pos) = rest.iter().position(|a| *a == "--transport") {
-                transport = match rest.get(pos + 1) {
-                    Some(&"reactor") => cm_httpkit::Transport::Reactor,
-                    Some(&"worker-pool") => cm_httpkit::Transport::WorkerPool,
-                    _ => return Err(CliError("--transport needs reactor|worker-pool".into())),
-                };
-            }
             let mut policy = cm_core::DegradedPolicy::FailClosed;
             if let Some(pos) = rest.iter().position(|a| *a == "--degraded-policy") {
                 policy = cm_cli::parse_degraded_policy(
@@ -316,9 +289,6 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
             serve(
                 port,
                 rest.contains(&"--extended"),
-                workers,
-                keep_alive,
-                transport,
                 policy,
                 snapshot_policy,
                 anti_entropy_every,
@@ -353,9 +323,6 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
 fn serve(
     port: u16,
     extended: bool,
-    workers: usize,
-    keep_alive: bool,
-    transport: cm_httpkit::Transport,
     policy: cm_core::DegradedPolicy,
     snapshot_policy: cm_core::SnapshotPolicy,
     anti_entropy_every: u64,
@@ -367,22 +334,20 @@ fn serve(
     audit_max_age: Option<std::time::Duration>,
 ) -> Result<String, CliError> {
     use cm_cloudsim::PrivateCloud;
-    use cm_core::{BrownoutConfig, BrownoutController, CloudMonitor};
+    use cm_core::CloudMonitor;
     use cm_httpkit::{
         AdminRoutes, HttpServer, PooledClient, RemoteService, ServerConfig, ShedObserver,
     };
     use cm_model::cinder;
-    use cm_obs::{BrownoutSignal, OverloadStats};
+    use cm_obs::OverloadStats;
     use cm_rest::SharedRestService;
     use std::sync::Arc;
 
-    // Overload accounting and the brownout ladder are shared three
-    // ways: the monitor-facing server's reactor shards write the
-    // stats, the brownout controller reads them to move the ladder,
-    // and the admin routes surface both at /-/health and /-/metrics.
+    // Overload accounting is shared: the monitor-facing server's
+    // reactor shards write the stats, and the admin routes surface
+    // them at /-/health and /-/metrics.
     let overload_enabled = overload.enabled;
     let overload_stats = Arc::new(OverloadStats::new());
-    let brownout = Arc::new(BrownoutSignal::new());
     let overload = cm_httpkit::OverloadConfig {
         stats: Some(Arc::clone(&overload_stats)),
         ..overload
@@ -390,19 +355,7 @@ fn serve(
     let overload_deadline = overload.deadline;
     let overload_queue_limit = overload.queue_limit;
     let mut monitor_config = ServerConfig {
-        workers,
-        keep_alive,
-        transport,
         overload,
-        ..ServerConfig::default()
-    };
-    // Every monitor worker may pin one pooled backend connection for the
-    // duration of a probe batch, so the cloud side needs at least as many
-    // workers as the monitor side to avoid self-inflicted queueing.
-    let cloud_config = ServerConfig {
-        workers: workers.max(ServerConfig::default().workers),
-        keep_alive: true,
-        transport,
         ..ServerConfig::default()
     };
 
@@ -413,7 +366,7 @@ fn serve(
     let cloud_server = HttpServer::bind_with(
         "127.0.0.1:0",
         Arc::new(move |req| cloud_handle.call(&req)),
-        cloud_config,
+        ServerConfig::default(),
     )
     .map_err(|e| CliError(e.to_string()))?;
 
@@ -442,8 +395,7 @@ fn serve(
     let mut monitor = monitor
         .degraded_policy(policy)
         .snapshot_policy(snapshot_policy)
-        .anti_entropy_every(anti_entropy_every)
-        .brownout_signal(Arc::clone(&brownout));
+        .anti_entropy_every(anti_entropy_every);
     if let Some(ttl) = identity_ttl {
         monitor = monitor.identity_cache_ttl(ttl);
     }
@@ -458,7 +410,6 @@ fn serve(
                 dir,
                 cm_audit::AuditLogOptions {
                     max_age: audit_max_age,
-                    durability_signal: Some(Arc::clone(&brownout)),
                     ..cm_audit::AuditLogOptions::default()
                 },
                 Some(monitor.metrics()),
@@ -487,7 +438,7 @@ fn serve(
         .map_err(|e| CliError(e.message))?;
     let mut admin = AdminRoutes::new(monitor.metrics(), monitor.events())
         .with_transport(Arc::clone(&client))
-        .with_overload(Arc::clone(&overload_stats), Arc::clone(&brownout));
+        .with_overload(Arc::clone(&overload_stats));
     if let Some(log) = &audit_log {
         admin = admin.with_stream(Arc::clone(log) as Arc<dyn cm_obs::TailStream>);
     }
@@ -498,23 +449,6 @@ fn serve(
     monitor_config.shed_observer = Some(ShedObserver::new(move |request, decision| {
         shed_monitor.record_shed(request, decision);
     }));
-    if overload_enabled {
-        // The brownout controller samples the shed rate and moves the
-        // ladder the monitor and audit log listen to.
-        let mut controller = BrownoutController::new(
-            Arc::clone(&overload_stats),
-            Arc::clone(&brownout),
-            BrownoutConfig::default(),
-        )
-        .with_metrics(monitor.metrics());
-        std::thread::Builder::new()
-            .name("cm-brownout".into())
-            .spawn(move || loop {
-                std::thread::sleep(controller.tick_interval());
-                controller.tick();
-            })
-            .map_err(|e| CliError(format!("spawn brownout controller: {e}")))?;
-    }
     let monitor_handle = Arc::clone(&monitor);
     let monitor_server = HttpServer::bind_with(
         ("127.0.0.1", port),
@@ -526,13 +460,11 @@ fn serve(
     println!("private cloud   : http://{}", cloud_server.local_addr());
     println!("cloud monitor   : http://{}", monitor_server.local_addr());
     println!(
-        "transport       : {}, {} workers, keep-alive {}",
-        match transport {
-            cm_httpkit::Transport::Reactor => "reactor (epoll)",
+        "transport       : {}, keep-alive on",
+        match monitor_server.transport() {
+            cm_httpkit::Transport::Reactor => "reactor",
             cm_httpkit::Transport::WorkerPool => "worker pool",
-        },
-        workers,
-        if keep_alive { "on" } else { "off" }
+        }
     );
     println!(
         "resilience      : {policy:?}, deadline {:?}, breaker threshold {}",
@@ -542,7 +474,7 @@ fn serve(
     if overload_enabled {
         println!(
             "overload        : admission on, queue-wait budget {:?}, read queue limit {} \
-             (sheds are marked 503 X-CM-Overload, audited as Degraded; brownout ladder live)",
+             (sheds are marked 503 X-CM-Overload, audited as Degraded)",
             overload_deadline, overload_queue_limit
         );
     } else {

@@ -711,22 +711,13 @@ pub fn usage() -> &'static str {
                                               shed requests whose queue wait\n\
                                               exhausts their budget (marked 503\n\
                                               X-CM-Overload, audited Degraded);\n\
-                                              admin/health lanes never shed;\n\
-                                              drives the brownout ladder\n\
+                                              admin/health lanes never shed\n\
                                               (default off)\n\
              [--overload-deadline-ms MS]      per-request queue-wait budget\n\
                                               (default 500)\n\
              [--overload-queue-limit N]       read-lane run-queue bound per\n\
                                               shard; mutations tolerate 2N\n\
                                               (default 1024)\n\
-             [--workers N] [--keep-alive on|off]\n\
-                                              size the worker pool and toggle\n\
-                                              persistent connections\n\
-             [--transport reactor|worker-pool]\n\
-                                              serving engine for both hops:\n\
-                                              readiness-polled epoll reactor\n\
-                                              (default) or thread-per-connection\n\
-                                              worker pool\n\
              [--degraded-policy fail-closed|fail-open[:N]]\n\
                                               what Enforce does when the cloud\n\
                                               cannot be snapshotted (default\n\

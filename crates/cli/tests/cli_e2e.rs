@@ -63,6 +63,17 @@ fn serve_rejects_retired_flags_and_policies() {
         "{err}"
     );
     assert!(err.contains("USAGE"), "{err}");
+    for (flag, value) in [
+        ("--keep-alive", "on"),
+        ("--transport", "worker-pool"),
+        ("--workers", "4"),
+    ] {
+        let err = serve_rejects(&["--port", "0", flag, value]);
+        assert!(
+            err.contains(&format!("unknown serve argument `{flag}`")),
+            "{err}"
+        );
+    }
     let err = serve_rejects(&["--port", "0", "--snapshot-policy", "scoped"]);
     assert!(err.contains("unknown snapshot policy `scoped`"), "{err}");
 }

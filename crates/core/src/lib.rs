@@ -57,9 +57,8 @@ pub mod replica;
 
 pub use coverage::{CoverageTracker, RequirementCoverage};
 pub use monitor::{
-    cinder_monitor, cinder_monitor_extended, expected_success_status, BrownoutConfig,
-    BrownoutController, CloudMonitor, DegradedPolicy, Mode, MonitorBuildError, MonitorOutcome,
-    SnapshotPolicy, Verdict, ANTI_ENTROPY_STRETCH, DEFAULT_EVENT_CAPACITY,
+    cinder_monitor, cinder_monitor_extended, expected_success_status, CloudMonitor, DegradedPolicy,
+    Mode, MonitorBuildError, MonitorOutcome, SnapshotPolicy, Verdict, DEFAULT_EVENT_CAPACITY,
 };
 pub use oracle::{OracleReport, ScenarioResult, TestOracle};
 pub use probe::{ProbeFault, ProbeTarget, Snapshot, StateProber, DEFAULT_IDENTITY_CAP};

@@ -28,10 +28,7 @@ use cm_audit::{AuditRecord, AuditRecorder, EnvProvenance, EnvSnapshot, ReplayCon
 use cm_contracts::{generate_with, CompiledContractSet, ContractSet, GenerateOptions};
 use cm_httpkit::ShedDecision;
 use cm_model::{BehavioralModel, HttpMethod, ResourceModel, Trigger};
-use cm_obs::{
-    BrownoutSignal, EventSink, MetricsRegistry, MonitorEvent, OverloadStats, PhaseTimings,
-    RingBufferSink, BROWNOUT_MAX_STEP,
-};
+use cm_obs::{EventSink, MetricsRegistry, MonitorEvent, PhaseTimings, RingBufferSink};
 use cm_ocl::{EnvView, EvalScratch};
 use cm_rbac::SecurityRequirementsTable;
 use cm_rest::{
@@ -65,13 +62,6 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// resource); requests for different projects almost always land on
 /// different shards and proceed in parallel.
 const MONITOR_SHARDS: usize = 16;
-
-/// How much step ≥ 1 of the brownout ladder stretches the scheduled
-/// anti-entropy cadence: `anti_entropy_every` replica-served requests
-/// become `ANTI_ENTROPY_STRETCH ×` as many between reconciliation
-/// passes. Drift detection slows under overload; it never stops, and
-/// on-demand reconciliation (after an uncertainty) is untouched.
-pub const ANTI_ENTROPY_STRETCH: u64 = 4;
 
 /// What [`CloudMonitor::process`] learns about a request besides its
 /// decision: the labels and phase timings its event carries, and any
@@ -182,147 +172,6 @@ impl fmt::Display for MonitorBuildError {
 
 impl std::error::Error for MonitorBuildError {}
 
-/// Tuning for the [`BrownoutController`]'s hysteresis.
-///
-/// The controller samples the transport's [`OverloadStats`] once per
-/// [`BrownoutConfig::tick_interval`] and classifies the window:
-/// **hot** when the windowed shed fraction reaches `enter_shed_rate`,
-/// **cool** when it stays at or below `exit_shed_rate`, and *held*
-/// in between (the hysteresis band — neither streak advances, so the
-/// ladder neither climbs nor relaxes on noise). `enter_after`
-/// consecutive hot windows climb one rung; `exit_after` consecutive
-/// cool windows descend one. Asymmetric on purpose: shedding optional
-/// work should be quick, restoring it should wait for sustained calm.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Windowed shed fraction (`shed / (admitted + shed)`) at or above
-    /// which a window counts as hot.
-    pub enter_shed_rate: f64,
-    /// Windowed shed fraction at or below which a window counts cool.
-    pub exit_shed_rate: f64,
-    /// Consecutive hot windows before climbing one rung.
-    pub enter_after: u32,
-    /// Consecutive cool windows before descending one rung.
-    pub exit_after: u32,
-    /// How often the driving loop should call [`BrownoutController::tick`]
-    /// (advisory — the controller itself is clockless).
-    pub tick_interval: Duration,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            enter_shed_rate: 0.05,
-            exit_shed_rate: 0.01,
-            enter_after: 2,
-            exit_after: 8,
-            tick_interval: Duration::from_millis(250),
-        }
-    }
-}
-
-/// Moves the brownout ladder ([`cm_obs::BrownoutSignal`]) in response
-/// to transport overload, one rung per decision, with hysteresis on
-/// both edges. Clockless and side-effect-free apart from the signal and
-/// the optional metrics counters: call [`BrownoutController::tick`]
-/// from any periodic loop (the `cmcli serve` sampler thread, a test)
-/// and each call evaluates exactly one window.
-#[derive(Debug)]
-pub struct BrownoutController {
-    stats: Arc<OverloadStats>,
-    signal: Arc<BrownoutSignal>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    config: BrownoutConfig,
-    last_admitted: u64,
-    last_shed: u64,
-    hot_windows: u32,
-    cool_windows: u32,
-}
-
-impl BrownoutController {
-    /// A controller over the transport's stats and the shared ladder
-    /// signal (the same `Arc` the monitor and admin routes hold).
-    #[must_use]
-    pub fn new(
-        stats: Arc<OverloadStats>,
-        signal: Arc<BrownoutSignal>,
-        config: BrownoutConfig,
-    ) -> Self {
-        BrownoutController {
-            last_admitted: stats.admitted_total(),
-            last_shed: stats.shed_total(),
-            stats,
-            signal,
-            metrics: None,
-            config,
-            hot_windows: 0,
-            cool_windows: 0,
-        }
-    }
-
-    /// Builder: count ladder movements into the registry's `overload`
-    /// family (`brownout_step_up` / `brownout_step_down`).
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The advisory cadence for the driving loop.
-    #[must_use]
-    pub fn tick_interval(&self) -> Duration {
-        self.config.tick_interval
-    }
-
-    /// Evaluate one control window; returns `Some((from, to))` when the
-    /// ladder moved. An idle window (no traffic at all) counts as cool:
-    /// a node nobody is asking anything of has no business browning out.
-    pub fn tick(&mut self) -> Option<(u8, u8)> {
-        let admitted = self.stats.admitted_total();
-        let shed = self.stats.shed_total();
-        let d_admitted = admitted.saturating_sub(self.last_admitted);
-        let d_shed = shed.saturating_sub(self.last_shed);
-        self.last_admitted = admitted;
-        self.last_shed = shed;
-        let seen = d_admitted + d_shed;
-        #[allow(clippy::cast_precision_loss)]
-        let rate = if seen == 0 {
-            0.0
-        } else {
-            d_shed as f64 / seen as f64
-        };
-        if rate >= self.config.enter_shed_rate {
-            self.hot_windows += 1;
-            self.cool_windows = 0;
-        } else if rate <= self.config.exit_shed_rate {
-            self.cool_windows += 1;
-            self.hot_windows = 0;
-        } else {
-            // Hysteresis band: hold the current rung.
-            self.hot_windows = 0;
-            self.cool_windows = 0;
-        }
-        let step = self.signal.step();
-        if self.hot_windows >= self.config.enter_after && step < BROWNOUT_MAX_STEP {
-            self.hot_windows = 0;
-            let from = self.signal.set_step(step + 1);
-            if let Some(metrics) = &self.metrics {
-                metrics.overload.increment("brownout_step_up");
-            }
-            return Some((from, step + 1));
-        }
-        if self.cool_windows >= self.config.exit_after && step > 0 {
-            self.cool_windows = 0;
-            let from = self.signal.set_step(step - 1);
-            if let Some(metrics) = &self.metrics {
-                metrics.overload.increment("brownout_step_down");
-            }
-            return Some((from, step - 1));
-        }
-        None
-    }
-}
-
 /// The generated cloud monitor, wrapping a cloud service `S`.
 ///
 /// The monitor is built and authenticated through `&mut self` methods,
@@ -371,11 +220,6 @@ pub struct CloudMonitor<S: SharedRestService> {
     /// Optional durable audit recorder; when attached, every processed
     /// request also emits a replayable [`AuditRecord`].
     audit: Option<Arc<dyn AuditRecorder>>,
-    /// Optional brownout ladder signal ([`CloudMonitor::brownout_signal`]).
-    /// When attached, steps ≥ 1 stretch the scheduled anti-entropy
-    /// cadence — the monitor sheds its *optional* work before the
-    /// transport sheds requests.
-    brownout: Option<Arc<BrownoutSignal>>,
 }
 
 /// Per-shard mutable state: the reusable evaluation scratch (interned
@@ -493,7 +337,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
             metrics,
             events: Arc::new(RingBufferSink::new(DEFAULT_EVENT_CAPACITY)),
             audit: None,
-            brownout: None,
         })
     }
 
@@ -580,35 +423,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
     pub fn audit_recorder(mut self, recorder: Arc<dyn AuditRecorder>) -> Self {
         self.audit = Some(recorder);
         self
-    }
-
-    /// Attach the brownout ladder signal (builder style). Share the same
-    /// `Arc` with a [`BrownoutController`] (which moves the step in
-    /// response to overload) and the admin routes (which surface it):
-    /// at step ≥ 1 the monitor stretches the scheduled anti-entropy
-    /// cadence by [`ANTI_ENTROPY_STRETCH`]×. Verdicts are never
-    /// affected — only how much optional work rides on each request.
-    #[must_use]
-    pub fn brownout_signal(mut self, signal: Arc<BrownoutSignal>) -> Self {
-        self.brownout = Some(signal);
-        self
-    }
-
-    /// Effective scheduled anti-entropy interval: the configured cadence,
-    /// stretched while the brownout ladder sits at step ≥ 1. `0` stays
-    /// `0` (on-demand only) — a brownout must not *enable* a schedule.
-    fn effective_anti_entropy(&self) -> u64 {
-        let every = self.anti_entropy_every;
-        if every > 0
-            && self
-                .brownout
-                .as_ref()
-                .is_some_and(|b| b.anti_entropy_stretched())
-        {
-            every.saturating_mul(ANTI_ENTROPY_STRETCH)
-        } else {
-            every
-        }
     }
 
     /// The metrics registry. The `Arc` is shared with the monitor, so a
@@ -1124,7 +938,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             let replica = replicas.entry(project_id).or_default();
             let miss =
                 !replica.ready() || volume_id.is_some_and(|vid| !replica.knows_snapshots(vid));
-            let due = !miss && replica.note_request(self.effective_anti_entropy());
+            let due = !miss && replica.note_request(self.anti_entropy_every);
             if miss || due {
                 // Probe path: one full-granularity pass serves this
                 // request AND re-seeds the replica. A *scheduled* pass
@@ -2600,97 +2414,9 @@ mod state_tracking_tests {
 }
 
 #[cfg(test)]
-mod overload_brownout_tests {
+mod overload_tests {
     use super::*;
     use cm_cloudsim::PrivateCloud;
-
-    fn brownout_harness(
-        config: BrownoutConfig,
-    ) -> (Arc<OverloadStats>, Arc<BrownoutSignal>, BrownoutController) {
-        let stats = Arc::new(OverloadStats::new());
-        let signal = Arc::new(BrownoutSignal::new());
-        let controller = BrownoutController::new(Arc::clone(&stats), Arc::clone(&signal), config);
-        (stats, signal, controller)
-    }
-
-    fn feed(stats: &OverloadStats, admitted: u64, shed: u64) {
-        for _ in 0..admitted {
-            stats.note_admitted(cm_obs::Lane::Read, Duration::from_millis(1));
-        }
-        for _ in 0..shed {
-            stats.note_shed(cm_obs::Lane::Read);
-        }
-    }
-
-    #[test]
-    fn brownout_controller_climbs_and_descends_with_hysteresis() {
-        let config = BrownoutConfig {
-            enter_shed_rate: 0.05,
-            exit_shed_rate: 0.01,
-            enter_after: 2,
-            exit_after: 3,
-            ..BrownoutConfig::default()
-        };
-        let (stats, signal, mut controller) = brownout_harness(config);
-        // One hot window is a burst, not a brownout.
-        feed(&stats, 10, 10);
-        assert_eq!(controller.tick(), None);
-        assert_eq!(signal.step(), 0);
-        // The second consecutive hot window climbs one rung, not two.
-        feed(&stats, 10, 10);
-        assert_eq!(controller.tick(), Some((0, 1)));
-        assert_eq!(signal.step(), 1);
-        assert!(signal.anti_entropy_stretched());
-        assert!(!signal.audit_relaxed());
-        // Sustained overload keeps climbing to the top of the ladder —
-        // and never past it.
-        for _ in 0..8 {
-            feed(&stats, 10, 10);
-            controller.tick();
-        }
-        assert_eq!(signal.step(), BROWNOUT_MAX_STEP);
-        assert!(signal.audit_relaxed());
-        // A window inside the hysteresis band holds the rung and resets
-        // both streaks.
-        feed(&stats, 97, 3);
-        assert_eq!(controller.tick(), None);
-        // Calm windows descend only after `exit_after` in a row, one
-        // rung at a time.
-        feed(&stats, 50, 0);
-        assert_eq!(controller.tick(), None);
-        feed(&stats, 50, 0);
-        assert_eq!(controller.tick(), None);
-        feed(&stats, 50, 0);
-        assert_eq!(controller.tick(), Some((2, 1)));
-        // Idle windows count as calm too: drain all the way down.
-        for _ in 0..6 {
-            controller.tick();
-        }
-        assert_eq!(signal.step(), 0);
-        assert!(signal.transitions() >= 2);
-    }
-
-    #[test]
-    fn brownout_stretches_anti_entropy() {
-        let signal = Arc::new(BrownoutSignal::new());
-        let cloud = PrivateCloud::my_project();
-        let monitor = cinder_monitor(cloud)
-            .unwrap()
-            .anti_entropy_every(6)
-            .brownout_signal(Arc::clone(&signal));
-        assert_eq!(monitor.effective_anti_entropy(), 6);
-        signal.set_step(1);
-        assert_eq!(monitor.effective_anti_entropy(), 6 * ANTI_ENTROPY_STRETCH);
-        signal.set_step(2);
-        assert_eq!(monitor.effective_anti_entropy(), 6 * ANTI_ENTROPY_STRETCH);
-        signal.set_step(0);
-        assert_eq!(monitor.effective_anti_entropy(), 6);
-        // A zero cadence (on-demand only) must stay zero: brownout
-        // sheds work, it never schedules new work.
-        let monitor = monitor.anti_entropy_every(0);
-        signal.set_step(2);
-        assert_eq!(monitor.effective_anti_entropy(), 0);
-    }
 
     #[test]
     fn record_shed_lands_as_degraded_with_overload_provenance() {

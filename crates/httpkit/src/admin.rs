@@ -14,7 +14,7 @@
 //!   counters), when a [`PooledClient`] is attached via
 //!   [`AdminRoutes::with_transport`], and a machine-readable `overload`
 //!   block (per-lane queue depths, admitted/shed counters, queue-delay
-//!   percentiles, brownout step) when overload state is attached via
+//!   percentiles) when overload state is attached via
 //!   [`AdminRoutes::with_overload`];
 //! * `GET /-/events/stream?from=N&max=M&wait_ms=T` — long-poll tail of
 //!   the durable audit log, when a [`cm_obs::TailStream`] is attached
@@ -33,7 +33,7 @@
 use crate::client::PooledClient;
 use crate::resilience::BreakerState;
 use crate::server::Handler;
-use cm_obs::{BrownoutSignal, EventSink, MetricsRegistry, OverloadStats, TailStream};
+use cm_obs::{EventSink, MetricsRegistry, OverloadStats, TailStream};
 use cm_rest::{Json, RestRequest, RestResponse, StatusCode};
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ pub struct AdminRoutes {
     events: Arc<dyn EventSink>,
     transport: Option<Arc<PooledClient>>,
     stream: Option<Arc<dyn TailStream>>,
-    overload: Option<(Arc<OverloadStats>, Arc<BrownoutSignal>)>,
+    overload: Option<Arc<OverloadStats>>,
     /// Long-pollers currently blocking a worker thread, bounded by
     /// `parked_cap` (shared across clones so `wrap` keeps the bound).
     parked_pollers: Arc<std::sync::atomic::AtomicUsize>,
@@ -117,30 +117,15 @@ impl AdminRoutes {
         self
     }
 
-    /// Builder: attach the reactor's overload stats and the monitor's
-    /// brownout signal so `/-/health` grows a machine-readable
-    /// `overload` block (per-lane queue depths, shed rate, brownout
-    /// step) and `/-/metrics` gains an `overload` section. One poll of
-    /// `/-/health` then answers "is this node shedding, how hard, and
-    /// what has it already turned off" — the single target a fleet
-    /// coordinator needs.
+    /// Builder: attach the reactor's overload stats so `/-/health` grows
+    /// a machine-readable `overload` block (per-lane queue depths, shed
+    /// rate, queue-delay percentiles) and `/-/metrics` gains an
+    /// `overload` section. One poll of `/-/health` then answers "is
+    /// this node shedding, and how hard".
     #[must_use]
-    pub fn with_overload(
-        mut self,
-        stats: Arc<OverloadStats>,
-        brownout: Arc<BrownoutSignal>,
-    ) -> Self {
-        self.overload = Some((stats, brownout));
+    pub fn with_overload(mut self, stats: Arc<OverloadStats>) -> Self {
+        self.overload = Some(stats);
         self
-    }
-
-    /// The overload block served under `/-/health` and `/-/metrics`.
-    fn overload_json(stats: &OverloadStats, brownout: &BrownoutSignal) -> Json {
-        let Json::Object(mut members) = stats.render_json() else {
-            unreachable!("OverloadStats::render_json returns an object");
-        };
-        members.push(("brownout".into(), brownout.render_json()));
-        Json::Object(members)
     }
 
     /// The transport's resilience counters as a JSON object.
@@ -156,8 +141,9 @@ impl AdminRoutes {
     }
 
     /// The `/-/health` body: overall status is `"ok"` while every known
-    /// backend breaker is closed and the brownout ladder sits at step 0,
-    /// `"degraded"` otherwise.
+    /// backend breaker is closed, `"degraded"` otherwise (the `backends`
+    /// array names the breaker). Shedding alone is load management,
+    /// not degradation.
     fn health_json(&self) -> Json {
         let mut degraded = false;
         let mut members: Vec<(String, Json)> = Vec::new();
@@ -178,9 +164,8 @@ impl AdminRoutes {
             members.push(("backends".into(), Json::Array(backends)));
             members.push(("transport".into(), Self::transport_json(client)));
         }
-        if let Some((stats, brownout)) = &self.overload {
-            degraded |= brownout.step() > 0;
-            members.push(("overload".into(), Self::overload_json(stats, brownout)));
+        if let Some(stats) = &self.overload {
+            members.push(("overload".into(), stats.render_json()));
         }
         members.insert(
             0,
@@ -218,8 +203,8 @@ impl AdminRoutes {
                     if let Some(client) = &self.transport {
                         members.push(("transport".into(), Self::transport_json(client)));
                     }
-                    if let Some((stats, brownout)) = &self.overload {
-                        members.push(("overload".into(), Self::overload_json(stats, brownout)));
+                    if let Some(stats) = &self.overload {
+                        members.push(("overload".into(), stats.render_json()));
                     }
                 }
                 Some(RestResponse::ok(body))
@@ -423,11 +408,10 @@ mod tests {
     fn health_endpoint_reports_overload_block() {
         use cm_obs::Lane;
         let stats = Arc::new(OverloadStats::new());
-        let brownout = Arc::new(BrownoutSignal::new());
         stats.note_admitted(Lane::Read, std::time::Duration::from_millis(2));
         stats.note_shed(Lane::Read);
         stats.adjust_depth(Lane::Mutation, 3);
-        let routes = routes_with(0).with_overload(Arc::clone(&stats), Arc::clone(&brownout));
+        let routes = routes_with(0).with_overload(Arc::clone(&stats));
         let resp = routes
             .try_handle(&RestRequest::new(HttpMethod::Get, "/-/health"))
             .unwrap();
@@ -447,32 +431,6 @@ mod tests {
                 .unwrap()
                 .as_int(),
             Some(3)
-        );
-        assert_eq!(
-            overload
-                .get("brownout")
-                .unwrap()
-                .get("step")
-                .unwrap()
-                .as_int(),
-            Some(0)
-        );
-        // A brownout step marks the node degraded for pollers.
-        brownout.set_step(2);
-        let resp = routes
-            .try_handle(&RestRequest::new(HttpMethod::Get, "/-/health"))
-            .unwrap();
-        let body = resp.body.unwrap();
-        assert_eq!(body.get("status").unwrap().as_str(), Some("degraded"));
-        assert_eq!(
-            body.get("overload")
-                .unwrap()
-                .get("brownout")
-                .unwrap()
-                .get("step")
-                .unwrap()
-                .as_int(),
-            Some(2)
         );
         // `/-/metrics` carries the same block.
         let metrics = routes

@@ -753,8 +753,8 @@ impl BatchError {
 /// cloud reachable only over the network (the paper's deployment, where
 /// the monitor runs on the laptop and OpenStack in VirtualBox).
 ///
-/// By default the adapter holds a shared [`PooledClient`], so forwards
-/// and snapshot probes reuse keep-alive connections; a stale pooled
+/// The adapter holds a shared [`PooledClient`], so forwards and
+/// snapshot probes reuse keep-alive connections; a stale pooled
 /// connection surfaces as a silent reconnect-once, and only a failure on
 /// a *fresh* connection becomes an error response. Transport failures
 /// are synthesised as **marked** gateway responses
@@ -769,44 +769,30 @@ impl BatchError {
 /// client ever carry it. A misbehaving backend cannot set the header
 /// itself to masquerade as transport weather and dodge the monitor's
 /// post-condition checks.
-/// [`RemoteService::connection_per_request`] restores the historical
-/// one-connection-per-call transport (the benchmark baseline).
 #[derive(Debug, Clone)]
 pub struct RemoteService {
     addr: SocketAddr,
-    client: Option<Arc<PooledClient>>,
+    client: Arc<PooledClient>,
 }
 
 impl RemoteService {
     /// Point the adapter at a server address, pooling connections.
     #[must_use]
     pub fn new(addr: SocketAddr) -> Self {
-        RemoteService {
-            addr,
-            client: Some(Arc::new(PooledClient::default())),
-        }
+        RemoteService::with_client(addr, Arc::new(PooledClient::default()))
     }
 
     /// Pooled adapter sharing an existing client (so several services —
     /// or several clones across worker threads — draw from one pool).
     #[must_use]
     pub fn with_client(addr: SocketAddr, client: Arc<PooledClient>) -> Self {
-        RemoteService {
-            addr,
-            client: Some(client),
-        }
+        RemoteService { addr, client }
     }
 
-    /// The historical transport: one fresh TCP connection per call.
+    /// The connection pool.
     #[must_use]
-    pub fn connection_per_request(addr: SocketAddr) -> Self {
-        RemoteService { addr, client: None }
-    }
-
-    /// The connection pool, when this adapter pools.
-    #[must_use]
-    pub fn client(&self) -> Option<&Arc<PooledClient>> {
-        self.client.as_ref()
+    pub fn client(&self) -> &Arc<PooledClient> {
+        &self.client
     }
 
     /// Map a transport error to its marked gateway response.
@@ -839,25 +825,18 @@ impl RemoteService {
 
 impl SharedRestService for RemoteService {
     fn call(&self, request: &RestRequest) -> RestResponse {
-        let result = match &self.client {
-            Some(client) => client.request(self.addr, request),
-            None => crate::server::send(self.addr, request).map_err(TransportError::from),
-        };
-        match result {
+        match self.client.request(self.addr, request) {
             Ok(resp) => Self::scrub(resp),
             Err(e) => Self::fault_response(&e),
         }
     }
 
     fn call_batch(&self, requests: &[RestRequest]) -> Vec<RestResponse> {
-        let Some(client) = &self.client else {
-            return requests.iter().map(|r| self.call(r)).collect();
-        };
         // One shared deadline budget covers the batch AND any per-request
         // fallback after a mid-batch failure: committed responses are
         // kept, only the unanswered tail is re-issued, and the whole
         // snapshot stays inside one logical request deadline.
-        client
+        self.client
             .batch_settled(self.addr, requests)
             .into_iter()
             .map(|result| match result {
@@ -927,7 +906,7 @@ mod tests {
             assert_eq!(resp.status, StatusCode::OK);
         }
         assert_eq!(server.connections_accepted(), 1);
-        assert_eq!(remote.client().unwrap().connections_opened(), 1);
+        assert_eq!(remote.client().connections_opened(), 1);
         server.shutdown();
     }
 

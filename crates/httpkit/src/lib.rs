@@ -12,7 +12,8 @@
 //!   API ([`ServerConfig::transport`]): the default **readiness-driven
 //!   reactor** ([`reactor`] — per-core epoll/poll event-loop shards,
 //!   request pipelining, vectored writes, [`timer`]-wheel deadlines) and
-//!   the blocking **bounded worker pool** baseline;
+//!   the blocking **bounded worker pool** (the non-Unix engine and the
+//!   reactor's parity reference);
 //! * [`PooledClient`] — a per-address pool of keep-alive client
 //!   connections with health-checked checkout, reconnect-once on stale
 //!   connections, and a batched probe path;

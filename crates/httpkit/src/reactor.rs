@@ -588,6 +588,11 @@ const DRAIN_MAX: Duration = Duration::from_secs(1);
 /// its shard; level-triggered readiness re-reports the remainder.
 const READ_CHUNK: usize = 16 * 1024;
 const MAX_READS_PER_EVENT: usize = 16;
+/// CoDel target: queue delay below this resets the standing-queue clock.
+const CODEL_TARGET: Duration = Duration::from_millis(5);
+/// CoDel interval: delay continuously above target for this long marks
+/// a standing queue, and reads shed until it drains.
+const CODEL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// The wake pipe's poller token; connection tokens start above it.
 const WAKE_TOKEN: u64 = 0;
@@ -1114,13 +1119,12 @@ impl Shard {
         if !self.cfg.overload.enabled || lane == Lane::Admin {
             return None;
         }
-        let overload = &self.cfg.overload;
-        if wait >= overload.deadline {
+        if wait >= self.cfg.overload.deadline {
             // The queue wait consumed the whole budget: serving this
             // request now would produce a late, worthless answer.
             return Some(ShedCause::BudgetExhausted);
         }
-        if wait < overload.codel_target {
+        if wait < CODEL_TARGET {
             self.codel_above_since = None;
             return None;
         }
@@ -1132,9 +1136,7 @@ impl Shard {
                 self.codel_above_since = Some(now);
                 None
             }
-            Some(since)
-                if now.duration_since(since) >= overload.codel_interval && lane == Lane::Read =>
-            {
+            Some(since) if now.duration_since(since) >= CODEL_INTERVAL && lane == Lane::Read => {
                 Some(ShedCause::StandingQueue)
             }
             Some(_) => None,
@@ -1168,11 +1170,9 @@ impl Shard {
                     lane: _,
                     close_hint,
                 } => {
-                    conn.served += 1;
-                    let close = close_hint
-                        || !self.cfg.keep_alive
-                        || conn.served >= self.cfg.max_requests_per_conn
-                        || self.stop.load(Ordering::SeqCst);
+                    let Some(close) = self.count_response(token, close_hint) else {
+                        return;
+                    };
                     self.finish_response(token, &response, close);
                 }
                 PendingWork::Request {
@@ -1203,14 +1203,10 @@ impl Shard {
                             self.cfg.overload.deadline.as_millis(),
                             cause.label(),
                         ));
-                        let Some(conn) = self.conns.get_mut(&token) else {
+                        let Some(close) = self.count_response(token, wants_close(&request.headers))
+                        else {
                             return;
                         };
-                        conn.served += 1;
-                        let close = wants_close(&request.headers)
-                            || !self.cfg.keep_alive
-                            || conn.served >= self.cfg.max_requests_per_conn
-                            || self.stop.load(Ordering::SeqCst);
                         self.finish_response(token, &response, close);
                     } else {
                         self.stats.note_admitted(lane, wait);
@@ -1222,16 +1218,24 @@ impl Shard {
         self.after_work(token);
     }
 
+    /// Count one more response on `token`'s connection and decide
+    /// whether it closes the connection: the client asked, the
+    /// per-connection budget is spent, or the server is stopping.
+    /// `None` when the connection is already gone.
+    fn count_response(&mut self, token: u64, client_close: bool) -> Option<bool> {
+        let conn = self.conns.get_mut(&token)?;
+        conn.served += 1;
+        Some(
+            client_close
+                || conn.served >= self.cfg.max_requests_per_conn
+                || self.stop.load(Ordering::SeqCst),
+        )
+    }
+
     fn dispatch_request(&mut self, token: u64, request: RestRequest) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(close) = self.count_response(token, wants_close(&request.headers)) else {
             return;
         };
-        conn.served += 1;
-        let client_close = wants_close(&request.headers);
-        let close = !self.cfg.keep_alive
-            || client_close
-            || conn.served >= self.cfg.max_requests_per_conn
-            || self.stop.load(Ordering::SeqCst);
         // Only admin-space requests may park (the long-poll stream); for
         // them the request is retained so the handler can be re-invoked
         // from the timer wheel. The hot path clones nothing.

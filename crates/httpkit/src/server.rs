@@ -1,5 +1,6 @@
 //! The HTTP server: a readiness-driven reactor by default, with the
-//! blocking bounded worker pool retained as a differential baseline.
+//! blocking bounded worker pool as the non-Unix engine and the
+//! reactor's parity reference.
 //!
 //! The transport under the monitor-as-network-proxy deployment.
 //! [`ServerConfig::transport`] selects between two engines behind one
@@ -46,7 +47,7 @@ pub enum Transport {
     #[default]
     Reactor,
     /// Blocking thread-per-in-flight-connection worker pool — the
-    /// differential baseline the reactor is benchmarked and
+    /// engine on non-Unix targets, and the reference the reactor is
     /// parity-tested against.
     WorkerPool,
 }
@@ -80,14 +81,9 @@ pub struct ServerConfig {
     /// thread — is that engine's *entire* thread budget, regardless of
     /// how many connections arrive.
     pub workers: usize,
-    /// Serve multiple requests per connection (default `true`). When
-    /// `false` every response carries `Connection: close`, restoring the
-    /// historical connection-per-request transport (the benchmark
-    /// baseline).
-    pub keep_alive: bool,
     /// Requests served on one connection before the server closes it
     /// (default 1024). Bounds how long one client can monopolise a
-    /// worker.
+    /// worker; `1` answers every request with `Connection: close`.
     pub max_requests_per_conn: usize,
     /// How long a connection may sit idle between requests before the
     /// server closes it (default 5s).
@@ -117,7 +113,6 @@ impl Default for ServerConfig {
             shards: 0,
             reactor_backend: ReactorBackend::Auto,
             workers: 8,
-            keep_alive: true,
             max_requests_per_conn: 1024,
             idle_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(10),
@@ -151,17 +146,10 @@ pub struct OverloadConfig {
     /// time; mutations tolerate twice this before shedding, admin is
     /// unbounded (default 1024).
     pub queue_limit: usize,
-    /// CoDel target: queue delay below this resets the standing-queue
-    /// clock (default 5ms).
-    pub codel_target: Duration,
-    /// CoDel interval: delay continuously above target for this long
-    /// marks a standing queue, and reads shed until it drains (default
-    /// 100ms).
-    pub codel_interval: Duration,
     /// Share a pre-built stats handle with the server (e.g. so admin
-    /// routes and a brownout controller can hold it before `bind_with`
-    /// runs). `None` (default) lets the server allocate its own,
-    /// retrievable via [`HttpServer::overload_stats`].
+    /// routes can hold it before `bind_with` runs). `None` (default)
+    /// lets the server allocate its own, retrievable via
+    /// [`HttpServer::overload_stats`].
     pub stats: Option<Arc<OverloadStats>>,
 }
 
@@ -171,8 +159,6 @@ impl Default for OverloadConfig {
             enabled: false,
             deadline: Duration::from_millis(500),
             queue_limit: 1024,
-            codel_target: Duration::from_millis(5),
-            codel_interval: Duration::from_millis(100),
             stats: None,
         }
     }
@@ -374,7 +360,6 @@ pub struct HttpServer {
     stop: Arc<AtomicBool>,
     engine: Option<Engine>,
     connections: Arc<AtomicU64>,
-    config: ServerConfig,
     overload: Arc<OverloadStats>,
 }
 
@@ -383,7 +368,6 @@ impl std::fmt::Debug for HttpServer {
         f.debug_struct("HttpServer")
             .field("addr", &self.addr)
             .field("transport", &self.transport())
-            .field("keep_alive", &self.config.keep_alive)
             .finish()
     }
 }
@@ -481,7 +465,6 @@ impl HttpServer {
             stop,
             engine: Some(engine),
             connections,
-            config,
             overload,
         })
     }
@@ -668,10 +651,8 @@ fn serve_connection(
         served += 1;
         let client_close = wants_close(&request.headers);
         let response = handler(request);
-        let close = !cfg.keep_alive
-            || client_close
-            || served >= cfg.max_requests_per_conn
-            || stop.load(Ordering::SeqCst);
+        let close =
+            client_close || served >= cfg.max_requests_per_conn || stop.load(Ordering::SeqCst);
         resp_buf.clear();
         serialize_response(
             resp_buf,

@@ -271,12 +271,12 @@ fn call_batch_rides_one_connection(config: ServerConfig) {
     server.shutdown();
 }
 
-/// Keep-alive off restores the historical connection-per-request
-/// behaviour: every response carries `Connection: close` and each
-/// request costs one accepted connection even through a pooled client.
+/// A budget of one request per connection turns keep-alive off: every
+/// response carries `Connection: close` and each request costs one
+/// accepted connection even through a pooled client.
 fn keep_alive_off_closes_every_connection(config: ServerConfig) {
     let config = ServerConfig {
-        keep_alive: false,
+        max_requests_per_conn: 1,
         ..config
     };
     let server = HttpServer::bind_with("127.0.0.1:0", echo_handler(), config).unwrap();

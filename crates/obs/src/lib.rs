@@ -39,6 +39,6 @@ pub mod stream;
 pub use event::{EventSink, MonitorEvent, NullSink, PhaseTimings, RingBufferSink, TeeSink};
 pub use histogram::LatencyHistogram;
 pub use metrics::{CounterFamily, MetricsRegistry};
-pub use overload::{BrownoutSignal, Lane, OverloadStats, BROWNOUT_MAX_STEP, LANES};
+pub use overload::{Lane, OverloadStats, LANES};
 pub use rng::XorShift64Star;
 pub use stream::{StreamBatch, TailStream};

@@ -114,9 +114,7 @@ pub struct MetricsRegistry {
     /// the cache (`"hit"`) vs. round-trips to the cloud (`"miss"`).
     pub identity: CounterFamily,
     /// Overload-control counters: requests shed by admission
-    /// (`"shed_recorded"` once audited), brownout ladder movements
-    /// (`"brownout_step_up"`, `"brownout_step_down"`), and audit
-    /// commits that ran with the relaxed fsync (`"relaxed_commits"`).
+    /// (`"shed_recorded"` once audited).
     pub overload: CounterFamily,
     /// Pre-condition evaluation latency.
     pub pre_check: LatencyHistogram,

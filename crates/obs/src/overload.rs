@@ -1,19 +1,15 @@
 //! Overload-control observability: priority lanes, shed accounting,
-//! the queue-delay histogram, and the brownout degradation ladder
-//! signal shared between the transport and the monitor.
+//! and the queue-delay histogram.
 //!
-//! The types live here (not in `cm-httpkit`) because both sides of the
-//! control loop need them: the reactor's admission path classifies
-//! requests into a [`Lane`] and records sheds into [`OverloadStats`],
-//! while the monitor's brownout controller reads the same stats to
-//! decide when to shed *optional work* (anti-entropy cadence,
-//! per-group fsync) before the transport has to shed
-//! *requests*. The [`BrownoutSignal`] is the one-word channel between
-//! them.
+//! The types live here (not in `cm-httpkit`) because the transport and
+//! the exposition both need them: the reactor's admission path
+//! classifies requests into a [`Lane`] and records sheds into
+//! [`OverloadStats`], which the admin routes and the monitor's metrics
+//! render.
 
 use crate::histogram::LatencyHistogram;
 use cm_rest::Json;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Priority lane a request is admitted under. Ordering is priority:
@@ -59,8 +55,7 @@ impl Lane {
 
 /// Per-lane overload accounting shared between the reactor shards and
 /// the admin/health exposition: admitted + shed counters, live queue
-/// depth gauges, and the queue-wait histogram the CoDel controller and
-/// the brownout ladder both key off.
+/// depth gauges, and the queue-wait histogram.
 #[derive(Debug, Default)]
 pub struct OverloadStats {
     admitted: [AtomicU64; LANES],
@@ -181,93 +176,6 @@ impl OverloadStats {
     }
 }
 
-/// Highest rung of the brownout ladder.
-pub const BROWNOUT_MAX_STEP: u8 = 2;
-
-/// The brownout ladder's shared state: a single atomic step the
-/// monitor-side controller writes and every consumer of optional work
-/// reads. Steps are cumulative — step 2 implies step 1's shedding.
-///
-/// | step | optional work shed                                   |
-/// |------|------------------------------------------------------|
-/// | 0    | nothing — normal operation                           |
-/// | 1    | anti-entropy reconciliation intervals stretched      |
-/// | 2    | + audit durability downgraded to flush-on-rotation   |
-#[derive(Debug, Default)]
-pub struct BrownoutSignal {
-    step: AtomicU8,
-    transitions: AtomicU64,
-}
-
-impl BrownoutSignal {
-    /// A signal at step 0 (no brownout).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current ladder step (0–[`BROWNOUT_MAX_STEP`]).
-    #[must_use]
-    pub fn step(&self) -> u8 {
-        self.step.load(Ordering::Relaxed)
-    }
-
-    /// Move to `step` (clamped to the ladder); returns the previous
-    /// step. Any actual change counts as one recorded transition.
-    pub fn set_step(&self, step: u8) -> u8 {
-        let step = step.min(BROWNOUT_MAX_STEP);
-        let previous = self.step.swap(step, Ordering::Relaxed);
-        if previous != step {
-            self.transitions.fetch_add(1, Ordering::Relaxed);
-        }
-        previous
-    }
-
-    /// Ladder transitions recorded so far.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions.load(Ordering::Relaxed)
-    }
-
-    /// Step ≥ 1: stretch scheduled anti-entropy intervals.
-    #[must_use]
-    pub fn anti_entropy_stretched(&self) -> bool {
-        self.step() >= 1
-    }
-
-    /// Step ≥ 2: audit commits may skip the per-group fsync (rotation
-    /// still always syncs).
-    #[must_use]
-    pub fn audit_relaxed(&self) -> bool {
-        self.step() >= 2
-    }
-
-    /// Exposition block for `/-/health` / `/-/metrics`.
-    #[must_use]
-    pub fn render_json(&self) -> Json {
-        Json::object(vec![
-            ("step", Json::Int(i64::from(self.step()))),
-            (
-                "transitions",
-                Json::Int(i64::try_from(self.transitions()).unwrap_or(i64::MAX)),
-            ),
-            (
-                "sheds",
-                Json::Array(
-                    [
-                        (self.anti_entropy_stretched(), "anti_entropy_cadence"),
-                        (self.audit_relaxed(), "audit_group_fsync"),
-                    ]
-                    .iter()
-                    .filter(|(on, _)| *on)
-                    .map(|(_, label)| Json::Str((*label).to_string()))
-                    .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,26 +218,5 @@ mod tests {
             Some(2)
         );
         assert_eq!(json.get("shed_rate_percent").unwrap().as_int(), Some(33));
-    }
-
-    #[test]
-    fn brownout_ladder_is_cumulative_and_counts_transitions() {
-        let signal = BrownoutSignal::new();
-        assert_eq!(signal.step(), 0);
-        assert!(!signal.anti_entropy_stretched());
-        signal.set_step(1);
-        assert!(signal.anti_entropy_stretched());
-        assert!(!signal.audit_relaxed());
-        signal.set_step(2);
-        assert!(signal.anti_entropy_stretched());
-        assert!(signal.audit_relaxed());
-        signal.set_step(2); // no-op: not a transition
-        signal.set_step(0);
-        assert_eq!(signal.transitions(), 3);
-        signal.set_step(BROWNOUT_MAX_STEP + 5);
-        assert_eq!(signal.step(), BROWNOUT_MAX_STEP);
-        let json = signal.render_json();
-        assert_eq!(json.get("step").unwrap().as_int(), Some(2));
-        assert_eq!(json.get("sheds").unwrap().as_array().unwrap().len(), 2);
     }
 }

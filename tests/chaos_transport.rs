@@ -17,7 +17,7 @@ use cm_cloudsim::{ChaosListener, ChaosPlan, Fault, FaultPlan, PrivateCloud};
 use cm_core::{cinder_monitor, Mode, Verdict};
 use cm_httpkit::{ClientConfig, HttpServer, PooledClient, RemoteService, ShedCause, ShedDecision};
 use cm_model::HttpMethod;
-use cm_obs::{BrownoutSignal, Lane, BROWNOUT_MAX_STEP};
+use cm_obs::Lane;
 use cm_rest::{Json, RestRequest, SharedRestService, StatusCode};
 use std::sync::Arc;
 use std::time::Duration;
@@ -147,14 +147,12 @@ fn chaos_soak_never_mislabels_transport_faults_as_violations() {
 
 #[test]
 fn overload_sheds_interleaved_with_chaos_never_become_violations() {
-    // The worst weather: wire faults from the chaos proxy, the brownout
-    // ladder climbing and descending mid-soak, and transport-level sheds
-    // landing between monitored requests. Three things must stay true
-    // throughout: no verdict is ever a violation (neither weather nor
-    // shedding incriminates the cloud), every shed reaches the audit
-    // trail as `Degraded` with overload provenance, and brownout rungs
-    // only gate optional work — they never change how an admitted
-    // request is classified.
+    // The worst weather: wire faults from the chaos proxy and
+    // transport-level sheds landing between monitored requests. Two
+    // things must stay true throughout: no verdict is ever a violation
+    // (neither weather nor shedding incriminates the cloud), and every
+    // shed reaches the audit trail as `Degraded` with overload
+    // provenance.
     let cloud = Arc::new(PrivateCloud::my_project());
     let pid = cloud.project_id();
     let alice = cloud.issue_token("alice", "alice-pw").unwrap().token;
@@ -164,24 +162,19 @@ fn overload_sheds_interleaved_with_chaos_never_become_violations() {
     let proxy = ChaosListener::spawn(server.local_addr(), ChaosPlan::seeded(0x0DD10AD, 89, 0.2))
         .expect("spawn chaos proxy");
     let recorder = Arc::new(MemoryRecorder::new());
-    let brownout = Arc::new(BrownoutSignal::new());
     let mut monitor = cinder_monitor(RemoteService::with_client(
         proxy.local_addr(),
         chaos_client(),
     ))
     .expect("generate monitor")
     .mode(Mode::Observe)
-    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>)
-    .brownout_signal(Arc::clone(&brownout));
+    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
     monitor
         .authenticate("alice", "alice-pw")
         .expect("authenticate through the clean grace slots");
 
     let mut sheds_reported = 0u64;
     for round in 0..40u8 {
-        // Walk the whole brownout ladder during the soak: up one rung
-        // every five rounds, back down across the last stretch.
-        brownout.set_step((round / 5).min(BROWNOUT_MAX_STEP));
         let volumes: Vec<u64> = cloud
             .state()
             .project(pid)
@@ -218,14 +211,13 @@ fn overload_sheds_interleaved_with_chaos_never_become_violations() {
             sheds_reported += 1;
         }
     }
-    brownout.set_step(0);
 
     assert!(
         proxy.stats().faults_injected() > 0,
         "the soak must actually exercise injected faults"
     );
-    // Invariant 1: nothing — weather, rung changes, or sheds — produces
-    // a contract violation.
+    // Invariant 1: nothing — weather or sheds — produces a contract
+    // violation.
     let records = recorder.records();
     assert!(
         records.iter().all(|r| !r.verdict.is_violation()),
@@ -261,8 +253,7 @@ fn overload_sheds_interleaved_with_chaos_never_become_violations() {
             other => panic!("shed recorded under the wrong context: {other:?}"),
         }
     }
-    // Invariant 3: admitted traffic still produced real verdicts around
-    // the sheds — the ladder degraded optional work, not the monitor.
+    // Admitted traffic still produced real verdicts around the sheds.
     assert!(
         records
             .iter()

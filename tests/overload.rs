@@ -27,7 +27,7 @@ use cm_httpkit::{
     Transport,
 };
 use cm_model::HttpMethod;
-use cm_obs::{BrownoutSignal, Lane, MetricsRegistry, NullSink, OverloadStats, TailStream};
+use cm_obs::{Lane, MetricsRegistry, NullSink, OverloadStats, TailStream};
 use cm_rest::{Json, RestRequest, RestResponse, StatusCode};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -75,7 +75,6 @@ fn shed_collector() -> (ShedLog, ShedObserver) {
 #[test]
 fn shed_storm_marks_503s_and_never_touches_the_admin_lane() {
     let stats = Arc::new(OverloadStats::new());
-    let brownout = Arc::new(BrownoutSignal::new());
     let (shed_log, observer) = shed_collector();
     let mut config = server_config(OverloadConfig {
         stats: Some(Arc::clone(&stats)),
@@ -85,7 +84,7 @@ fn shed_storm_marks_503s_and_never_touches_the_admin_lane() {
 
     let metrics = Arc::new(MetricsRegistry::new());
     let admin = AdminRoutes::new(Arc::clone(&metrics), Arc::new(NullSink))
-        .with_overload(Arc::clone(&stats), Arc::clone(&brownout));
+        .with_overload(Arc::clone(&stats));
     let app = Arc::new(|_req: RestRequest| {
         // A slow backend: every request costs real shard time, so
         // concurrent clients build genuine queue wait.
@@ -164,13 +163,6 @@ fn shed_storm_marks_503s_and_never_touches_the_admin_lane() {
     let overload = last.get("overload").expect("overload block in health");
     assert!(overload.get("lane_depths").is_some());
     assert!(overload.get("shed_rate_percent").is_some());
-    assert_eq!(
-        overload
-            .get("brownout")
-            .and_then(|b| b.get("step"))
-            .and_then(Json::as_int),
-        Some(0)
-    );
 }
 
 #[test]
@@ -267,7 +259,7 @@ fn parked_stream_longpoll_survives_a_shed_storm() {
     let stats = Arc::new(OverloadStats::new());
     let admin = AdminRoutes::new(Arc::new(MetricsRegistry::new()), Arc::new(NullSink))
         .with_stream(Arc::clone(&log) as Arc<dyn TailStream>)
-        .with_overload(Arc::clone(&stats), Arc::new(BrownoutSignal::new()));
+        .with_overload(Arc::clone(&stats));
     let app = Arc::new(|_req: RestRequest| {
         thread::sleep(Duration::from_millis(3));
         RestResponse::ok(Json::Str("slow".into()))

@@ -44,6 +44,7 @@ stages (run exactly what is named, in the order given, deduplicated):
              corruption, differential replay, replay-vs-live property
              over the mutant catalog, streaming tail)
   replica    shadow-replica battery (drift detection, anti-entropy chaos,
+             identity cache and role-change re-judge under both bindings,
              replica/full differential property, bench smoke)
   overload   overload-control battery (shed storm, admin-lane immunity,
              shed provenance, overload x chaos interleaving, bench smoke)
@@ -202,6 +203,12 @@ stage_replica() {
 
   step "replica: cm-core replica state-machine unit suite"
   cargo test --offline -p cm-core -q replica
+
+  step "replica: identity cache unit suite (CLOCK eviction, TTL, faults, binding)"
+  cargo test --offline -p cm-core -q identity_
+
+  step "replica: identity is state (role changes within the cache TTL, both bindings)"
+  cargo test --offline --test identity -q
 
   step "replica: replica/full differential property"
   cargo test --offline --features proptest --test proptests -q \

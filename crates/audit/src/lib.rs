@@ -41,8 +41,8 @@ pub use crc::crc32;
 pub use log::{AuditLog, AuditLogOptions};
 pub use record::{
     decode_record, encode_frame, encode_record, next_frame, AuditRecord, DecodeError,
-    EnvProvenance, EnvSnapshot, FrameEnd, MonitorMode, ReplayContext, VerdictCode, FRAME_HEADER,
-    MAX_PAYLOAD, MIN_RECORD_VERSION, RECORD_VERSION,
+    EnvProvenance, EnvSnapshot, FrameEnd, MonitorMode, RecordSummary, ReplayContext, VerdictCode,
+    FRAME_HEADER, MAX_PAYLOAD, MIN_RECORD_VERSION, RECORD_VERSION,
 };
 pub use recover::{
     read_records, recover, recover_with, write_checkpoint, Recovered, RecoveryReport, SegmentInfo,

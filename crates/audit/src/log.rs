@@ -22,7 +22,7 @@
 //! `max_segments`. Offsets are *commit order* across the whole log —
 //! retention deletes files but never renumbers.
 
-use crate::record::{encode_frame, encode_record, AuditRecord};
+use crate::record::{encode_frame, encode_record, AuditRecord, RecordSummary};
 use crate::recover::{
     recover_with, segment_file_name, segment_header, sync_dir, write_checkpoint, RecoveryReport,
     SegmentInfo,
@@ -83,9 +83,9 @@ impl Default for AuditLogOptions {
 /// Commands crossing from the serve path to the writer thread.
 enum Cmd {
     Record(Box<AuditRecord>),
-    /// Durability barrier: ack once everything sent before it is
-    /// committed.
-    Flush(mpsc::SyncSender<()>),
+    /// Durability barrier: answered once everything sent before it was
+    /// committed or failed to commit, with whether all of it committed.
+    Flush(mpsc::SyncSender<bool>),
 }
 
 /// State shared between appenders, the writer, and streaming readers.
@@ -99,8 +99,9 @@ struct Shared {
     dropped: AtomicU64,
     /// Group-commit write errors.
     write_errors: AtomicU64,
-    /// Bounded ring of committed `(offset, summary)` pairs.
-    tail: Mutex<VecDeque<(u64, Json)>>,
+    /// Bounded ring of committed `(offset, summary)` pairs; the JSON is
+    /// rendered when a reader asks.
+    tail: Mutex<VecDeque<(u64, RecordSummary)>>,
     /// Signalled after every commit.
     commit_signal: Condvar,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -158,41 +159,50 @@ impl AuditLog {
             }
         };
         let active = fs::OpenOptions::new().append(true).open(&active_path)?;
-        write_checkpoint(dir, next_offset)?;
-
-        let shared = Arc::new(Shared {
-            committed: AtomicU64::new(next_offset),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            tail: Mutex::new(VecDeque::with_capacity(options.tail_capacity)),
-            commit_signal: Condvar::new(),
-            metrics,
-        });
-        let (tx, rx) = mpsc::sync_channel(options.channel_capacity.max(1));
-        let writer_state = Writer {
+        // The checkpoint already says `next_offset` after a clean close
+        // (and a fresh directory has none, which reads as 0): rewriting
+        // it would change nothing. It moves only when recovery found
+        // more or fewer records than it claims, so a loss is reported at
+        // this open and not again at the next.
+        if report.checkpoint.unwrap_or(0) != next_offset {
+            write_checkpoint(dir, next_offset)?;
+        }
+        let writer = Writer {
             dir: dir.to_path_buf(),
             active,
             active_len,
             segments,
             next_offset,
+            lost: 0,
+            shared: Arc::new(Shared {
+                committed: AtomicU64::new(next_offset),
+                appended: AtomicU64::new(0),
+                dropped: AtomicU64::new(0),
+                write_errors: AtomicU64::new(0),
+                tail: Mutex::new(VecDeque::with_capacity(options.tail_capacity)),
+                commit_signal: Condvar::new(),
+                metrics,
+            }),
             options,
-            shared: Arc::clone(&shared),
         };
-        let writer = thread::Builder::new()
-            .name("cm-audit-writer".into())
-            .spawn(move || writer_state.run(rx))
-            .map_err(|e| io::Error::other(format!("spawn audit writer: {e}")))?;
+        Ok((Self::start(writer)?, report))
+    }
 
-        Ok((
-            AuditLog {
-                shared,
-                tx,
-                writer: Mutex::new(Some(writer)),
-                dir: dir.to_path_buf(),
-            },
-            report,
-        ))
+    /// Start the writer thread over `writer`'s active segment.
+    fn start(writer: Writer) -> io::Result<Self> {
+        let shared = Arc::clone(&writer.shared);
+        let dir = writer.dir.clone();
+        let (tx, rx) = mpsc::sync_channel(writer.options.channel_capacity.max(1));
+        let handle = thread::Builder::new()
+            .name("cm-audit-writer".into())
+            .spawn(move || writer.run(rx))
+            .map_err(|e| io::Error::other(format!("spawn audit writer: {e}")))?;
+        Ok(AuditLog {
+            shared,
+            tx,
+            writer: Mutex::new(Some(handle)),
+            dir,
+        })
     }
 
     /// Queue one record for durable append. Never blocks: a full
@@ -219,15 +229,20 @@ impl AuditLog {
     ///
     /// # Errors
     ///
-    /// If the writer thread is gone.
+    /// If a record appended before this call failed to commit (its
+    /// group's write or fsync failed), or the writer thread is gone.
     pub fn flush(&self) -> io::Result<()> {
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
         self.tx
             .send(Cmd::Flush(ack_tx))
             .map_err(|_| io::Error::other("audit writer is gone"))?;
-        ack_rx
-            .recv()
-            .map_err(|_| io::Error::other("audit writer died before ack"))
+        match ack_rx.recv() {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(io::Error::other(
+                "audit records appended before this flush failed to commit",
+            )),
+            Err(_) => Err(io::Error::other("audit writer died before ack")),
+        }
     }
 
     /// Offset of the next record to commit == records committed so far
@@ -292,37 +307,41 @@ struct Writer {
     active_len: u64,
     segments: Vec<SegmentInfo>,
     next_offset: u64,
+    /// Records whose group failed to commit.
+    lost: u64,
     options: AuditLogOptions,
     shared: Arc<Shared>,
 }
 
 impl Writer {
     fn run(mut self, rx: Receiver<Cmd>) {
-        let mut batch: Vec<Box<AuditRecord>> = Vec::with_capacity(self.options.group_max);
-        let mut acks: Vec<mpsc::SyncSender<()>> = Vec::new();
+        let mut batch: Vec<AuditRecord> = Vec::with_capacity(self.options.group_max);
+        // Each barrier with the number of this group's records before it.
+        let mut acks: Vec<(mpsc::SyncSender<bool>, usize)> = Vec::new();
         loop {
             // Block for the first command of the group…
             let first = match rx.recv() {
                 Ok(cmd) => cmd,
                 Err(_) => break,
             };
-            batch.clear();
-            acks.clear();
             match first {
-                Cmd::Record(record) => batch.push(record),
-                Cmd::Flush(ack) => acks.push(ack),
+                Cmd::Record(record) => batch.push(*record),
+                Cmd::Flush(ack) => acks.push((ack, 0)),
             }
             // …then opportunistically drain up to group_max records.
             while batch.len() < self.options.group_max {
                 match rx.try_recv() {
-                    Ok(Cmd::Record(record)) => batch.push(record),
-                    Ok(Cmd::Flush(ack)) => acks.push(ack),
+                    Ok(Cmd::Record(record)) => batch.push(*record),
+                    Ok(Cmd::Flush(ack)) => acks.push((ack, batch.len())),
                     Err(_) => break,
                 }
             }
-            self.commit_group(&batch);
-            for ack in acks.drain(..) {
-                let _ = ack.send(());
+            let lost_before = self.lost;
+            let committed = self.commit_group(&mut batch);
+            for (ack, behind) in acks.drain(..) {
+                // A barrier answers for every earlier group and for the
+                // records of this one sent before it.
+                let _ = ack.send(lost_before == 0 && (committed || behind == 0));
             }
         }
         // Channel closed: final checkpoint for a clean shutdown.
@@ -331,14 +350,15 @@ impl Writer {
     }
 
     /// One group commit: serialize, single write, single fsync, then
-    /// publish.
-    fn commit_group(&mut self, batch: &[Box<AuditRecord>]) {
+    /// publish (draining `batch` into the tail ring). Returns whether the
+    /// group committed.
+    fn commit_group(&mut self, batch: &mut Vec<AuditRecord>) -> bool {
         if batch.is_empty() {
-            return;
+            return true;
         }
         let started = Instant::now();
         let mut buf = Vec::with_capacity(batch.len() * 256);
-        for record in batch {
+        for record in batch.iter() {
             encode_frame(&encode_record(record), &mut buf);
         }
         let written = self
@@ -353,14 +373,18 @@ impl Writer {
             })
             .is_ok();
         if !written {
-            // The group may be torn on disk; recovery will truncate
-            // it. Surface the failure and carry on — the monitor's
-            // serve path must survive a full disk.
+            // The group may be torn on disk: cut it off, so a later
+            // group does not land behind bytes recovery would stop at.
+            // Surface the failure and carry on — the monitor's serve
+            // path must survive a full disk.
+            let _ = self.active.set_len(self.active_len);
+            self.lost += batch.len() as u64;
+            batch.clear();
             self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
             if let Some(metrics) = &self.shared.metrics {
                 metrics.audit.increment("write_errors");
             }
-            return;
+            return false;
         }
         self.active_len += buf.len() as u64;
         if let Some(last) = self.segments.last_mut() {
@@ -371,13 +395,13 @@ impl Writer {
         // Publish: watermark, tail ring, commit signal, metrics.
         {
             let mut tail = plock(&self.shared.tail);
-            for record in batch {
+            for record in batch.drain(..) {
                 let offset = self.next_offset;
                 self.next_offset += 1;
                 if tail.len() == self.options.tail_capacity.max(1) {
                     tail.pop_front();
                 }
-                tail.push_back((offset, record.summary_json(offset)));
+                tail.push_back((offset, RecordSummary::from(record)));
             }
             self.shared
                 .committed
@@ -398,6 +422,7 @@ impl Writer {
                 let _ = err;
             }
         }
+        true
     }
 
     /// Seal the active segment, start a new one, checkpoint, and apply
@@ -479,7 +504,7 @@ impl TailStream for AuditLog {
                     .iter()
                     .skip(skip)
                     .take(max)
-                    .map(|(_, summary)| summary.clone())
+                    .map(|(offset, summary)| summary.to_json(*offset))
                     .collect();
                 if lagged > 0 {
                     if let Some(metrics) = &self.shared.metrics {
@@ -521,7 +546,7 @@ impl TailStream for AuditLog {
 mod tests {
     use super::*;
     use crate::record::{EnvProvenance, EnvSnapshot, MonitorMode, ReplayContext, VerdictCode};
-    use crate::recover::{read_records, recover};
+    use crate::recover::{read_records, recover, segment_file_name};
 
     fn record(i: u64) -> AuditRecord {
         AuditRecord {
@@ -701,6 +726,106 @@ mod tests {
         assert_eq!(batch.records[0].get("offset").unwrap().as_int(), Some(2));
         assert_eq!(batch.records[1].get("seq").unwrap().as_int(), Some(3));
         assert_eq!(batch.next, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A writer whose active segment rejects every write.
+    #[cfg(target_os = "linux")]
+    fn writer_over_a_full_disk(dir: &Path) -> Writer {
+        fs::create_dir_all(dir).unwrap();
+        let options = small_options();
+        Writer {
+            dir: dir.to_path_buf(),
+            active: fs::OpenOptions::new()
+                .append(true)
+                .open("/dev/full")
+                .unwrap(),
+            active_len: 0,
+            segments: Vec::new(),
+            next_offset: 0,
+            lost: 0,
+            shared: Arc::new(Shared {
+                committed: AtomicU64::new(0),
+                appended: AtomicU64::new(0),
+                dropped: AtomicU64::new(0),
+                write_errors: AtomicU64::new(0),
+                tail: Mutex::new(VecDeque::new()),
+                commit_signal: Condvar::new(),
+                metrics: None,
+            }),
+            options,
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn flush_fails_when_a_record_before_it_failed_to_commit() {
+        let dir = tmp("full-disk");
+        let log = AuditLog::start(writer_over_a_full_disk(&dir)).unwrap();
+        // Nothing appended yet: the barrier holds.
+        log.flush().unwrap();
+        log.append(record(0));
+        let err = log.flush().unwrap_err();
+        assert!(err.to_string().contains("failed to commit"), "{err}");
+        assert_eq!(log.committed(), 0);
+        assert_eq!(log.dropped(), 0);
+        assert_eq!(log.write_errors(), 1);
+        // The lost record stays lost for every later barrier.
+        assert!(log.flush().is_err());
+        drop(log);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_reports_a_loss_once() {
+        let dir = tmp("loss-once");
+        {
+            let (log, _) = AuditLog::open(&dir, small_options(), None).unwrap();
+            for i in 0..5 {
+                log.append(record(i));
+            }
+            log.flush().unwrap();
+        }
+        // Cut into the last frame: the checkpoint (5) now claims one
+        // committed record more than the scan recovers.
+        let segment = dir.join(segment_file_name(0));
+        let len = fs::metadata(&segment).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&segment)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let (log, report) = AuditLog::open(&dir, small_options(), None).unwrap();
+        assert_eq!(report.lost_committed, 1);
+        // Open moved the checkpoint to what recovery found.
+        assert_eq!(crate::recover::read_checkpoint(&dir), Some(4));
+        drop(log);
+        let (_, report) = AuditLog::open(&dir, small_options(), None).unwrap();
+        assert_eq!(report.lost_committed, 0);
+        assert_eq!(report.checkpoint, Some(4));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn open_leaves_an_unchanged_checkpoint_alone() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp("checkpoint-kept");
+        let checkpoint = dir.join(crate::recover::CHECKPOINT_FILE);
+        // A fresh directory: no checkpoint is written at open (none
+        // reads as 0); the clean close writes one.
+        let (log, _) = AuditLog::open(&dir, small_options(), None).unwrap();
+        assert!(!checkpoint.exists());
+        log.append(record(0));
+        log.flush().unwrap();
+        drop(log);
+        let inode = fs::metadata(&checkpoint).unwrap().ino();
+        // Reopening after a clean close finds it current and keeps it.
+        let (log, report) = AuditLog::open(&dir, small_options(), None).unwrap();
+        assert_eq!(report.checkpoint, Some(1));
+        assert_eq!(fs::metadata(&checkpoint).unwrap().ino(), inode);
+        drop(log);
         let _ = fs::remove_dir_all(&dir);
     }
 

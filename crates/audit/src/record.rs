@@ -304,12 +304,43 @@ pub struct AuditRecord {
     pub context: ReplayContext,
 }
 
-impl AuditRecord {
-    /// Compact JSON summary served by `/-/events/stream` and
-    /// `cmcli audit verify` (environments elided — they are replay
-    /// inputs, not dashboard material).
+/// The fields of a record its compact JSON summary shows, moved out of
+/// the record (the replay environments are dropped with it): what the
+/// streaming tail keeps per committed record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecordSummary {
+    seq: u64,
+    ts_nanos: u64,
+    method: String,
+    path: String,
+    route: Option<String>,
+    verdict: VerdictCode,
+    status: u16,
+    requirements: Vec<String>,
+    diagnostics: String,
+}
+
+impl From<AuditRecord> for RecordSummary {
+    fn from(record: AuditRecord) -> Self {
+        RecordSummary {
+            seq: record.seq,
+            ts_nanos: record.ts_nanos,
+            method: record.method,
+            path: record.path,
+            route: record.route,
+            verdict: record.verdict,
+            status: record.status,
+            requirements: record.requirements,
+            diagnostics: record.diagnostics,
+        }
+    }
+}
+
+impl RecordSummary {
+    /// The compact JSON summary of the record at log `offset`, as
+    /// `/-/events/stream` serves it.
     #[must_use]
-    pub fn summary_json(&self, offset: u64) -> Json {
+    pub fn to_json(&self, offset: u64) -> Json {
         let int = |v: u64| Json::Int(i64::try_from(v).unwrap_or(i64::MAX));
         Json::object(vec![
             ("offset", int(offset)),

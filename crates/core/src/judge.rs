@@ -70,6 +70,19 @@ pub(crate) fn method_not_allowed(status: StatusCode) -> Verdict {
     }
 }
 
+/// The mode a request's pre step runs in. A request the cloud already
+/// answered can no longer be blocked, so it is judged as Observe judges
+/// it, whatever the monitor's mode: an Enforce request reaches its pre
+/// step after the forward only when it is judged again on a refreshed
+/// identity.
+pub(crate) fn pre_mode(mode: Mode, forwarded: bool) -> Mode {
+    if forwarded {
+        Mode::Observe
+    } else {
+        mode
+    }
+}
+
 /// The decision procedure for one contract.
 #[derive(Debug)]
 pub(crate) struct Judge<'a> {

@@ -14,7 +14,7 @@
 //!   acceptances (privilege escalation) and wrong denials;
 //! * [`StateProber`] — materialises the OCL evaluation environment through
 //!   the cloud's own REST API (`project.id->size() = 1` ⇔ "GET returned
-//!   200");
+//!   200"), with the caller's [`Identity`] served from a CLOCK cache;
 //! * [`CoverageTracker`] — security-requirement coverage observation;
 //! * [`TestOracle`] — the automated testing script of Section III-B,
 //!   used by the mutation campaign to reproduce Section VI-D.
@@ -48,6 +48,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod coverage;
+pub mod identity;
 mod judge;
 pub mod monitor;
 pub mod oracle;
@@ -56,6 +57,7 @@ pub mod replay;
 pub mod replica;
 
 pub use coverage::{CoverageTracker, RequirementCoverage};
+pub use identity::{Identity, UserBinding};
 pub use monitor::{
     cinder_monitor, cinder_monitor_extended, expected_success_status, CloudMonitor, DegradedPolicy,
     Mode, MonitorBuildError, MonitorOutcome, SnapshotPolicy, Verdict, DEFAULT_EVENT_CAPACITY,

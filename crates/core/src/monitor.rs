@@ -21,8 +21,9 @@
 //!   kills the Section VI-D mutants.
 
 use crate::coverage::CoverageTracker;
+use crate::identity::Identity;
 use crate::judge::{self, Decision, Judge, PostState};
-use crate::probe::{ProbeTarget, StateProber};
+use crate::probe::{ProbeTarget, Snapshot, StateProber};
 use crate::replica::{DriftEntry, ProjectReplica};
 use cm_audit::{AuditRecord, AuditRecorder, EnvProvenance, EnvSnapshot, ReplayContext};
 use cm_contracts::{generate_with, CompiledContractSet, ContractSet, GenerateOptions};
@@ -34,6 +35,7 @@ use cm_rbac::SecurityRequirementsTable;
 use cm_rest::{
     Json, Resolution, RestRequest, RestResponse, RouteTable, SharedRestService, StatusCode,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -65,15 +67,16 @@ const MONITOR_SHARDS: usize = 16;
 
 /// What [`CloudMonitor::process`] learns about a request besides its
 /// decision: the labels and phase timings its event carries, and any
-/// drift an anti-entropy pass found on the way.
+/// drift found on the way (by an anti-entropy pass, or by introspecting
+/// a cached identity again).
 #[derive(Debug, Default)]
 struct ObsScratch {
     timings: PhaseTimings,
     route: Option<String>,
     trigger: Option<Trigger>,
     contract: Option<String>,
-    /// The drift record an anti-entropy pass on the way produced.
-    drift: Option<(Decision, ReplayContext)>,
+    /// The drift records found on the way.
+    drift: Vec<(Decision, ReplayContext)>,
 }
 
 /// Run `f`, adding its wall-clock duration to `slot`.
@@ -611,13 +614,13 @@ impl<S: SharedRestService> CloudMonitor<S> {
         self.coverage
             .record(&decision.verdict, &decision.requirements);
         let status = response.status.0;
-        let drift = obs.drift.take();
+        let drift = std::mem::take(&mut obs.drift);
         self.emit(seq, request, obs, &decision, status, context);
-        // An anti-entropy pass piggybacked on this request found the
-        // cloud diverged from the replica: emit the detection as its own
-        // record — it is about the *cloud*, not this request, whose own
-        // verdict stands above.
-        if let Some((drift, context)) = drift {
+        // The cloud diverged from what the monitor held (the replica, or
+        // a cached identity): emit each detection as its own record — it
+        // is about the *cloud*, not this request, whose own verdict
+        // stands above.
+        for (drift, context) in drift {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             self.emit(seq, request, ObsScratch::default(), &drift, status, context);
         }
@@ -772,7 +775,8 @@ impl<S: SharedRestService> CloudMonitor<S> {
     /// The Drift record for drifted `(root, attr)` pairs, attributed to
     /// the security requirements of every contract whose pre/post scope
     /// reads one of them — the Table-I traceability of a drift detection.
-    fn drift_record(&self, drift: Vec<DriftEntry>) -> (Decision, ReplayContext) {
+    /// `held` names what the monitor held (`replica`, `identity`).
+    fn drift_record(&self, held: &str, drift: Vec<DriftEntry>) -> (Decision, ReplayContext) {
         let mut requirements: Vec<String> = Vec::new();
         for (idx, compiled) in self.compiled.contracts().iter().enumerate() {
             let touched = drift.iter().any(|d| {
@@ -800,7 +804,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             Decision::new(
                 Verdict::Drift,
                 requirements,
-                format!("replica drift: {details}"),
+                format!("{held} drift: {details}"),
             ),
             ReplayContext::Drift { attributes },
         )
@@ -932,7 +936,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
 
         // 4. Bind the pre-state and check the pre-condition. The
         //    pre-state doubles as the post-condition's `pre()` state.
-        let mut replica_identity: Option<Arc<RestResponse>> = None;
         let mut via_replica = false;
         let pre_snapshot = if self.snapshot_policy == SnapshotPolicy::Replica {
             let replica = replicas.entry(project_id).or_default();
@@ -966,7 +969,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     if !drift.is_empty() {
                         self.metrics.replica.increment("drift");
                         self.metrics.replica.increment("repair");
-                        obs.drift = Some(self.drift_record(drift));
+                        obs.drift.push(self.drift_record("replica", drift));
                     }
                 }
                 replica.absorb(project_id, volume_id, &snap.nav);
@@ -980,22 +983,21 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 // and the identity cache serves that.
                 self.metrics.replica.increment("hit");
                 let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
-                match self.prober.identity(&self.cloud, &target.user_token) {
-                    Ok(introspection) => {
-                        ProjectReplica::bind_identity(&mut nav, &introspection);
-                        replica_identity = Some(introspection);
-                    }
+                let user = match self.prober.identity(&self.cloud, &target.user_token) {
+                    Ok(user) => user,
                     Err(fault) => {
                         replica.mark_stale();
                         self.metrics.replica.increment("stale");
                         return self.degrade_pre(request, obs, &judge, &[fault]);
                     }
-                }
+                };
+                user.identity.bind(&mut nav);
                 via_replica = true;
-                crate::probe::Snapshot {
+                Snapshot {
                     nav,
                     denials: Vec::new(),
                     faults: Vec::new(),
+                    user: Some(user),
                 }
             }
         } else {
@@ -1010,7 +1012,12 @@ impl<S: SharedRestService> CloudMonitor<S> {
         if pre_snapshot.is_partial() {
             return self.degrade_pre(request, obs, &judge, &pre_snapshot.faults);
         }
-        let pre_state = pre_snapshot.nav;
+        let Snapshot {
+            nav: mut pre_state,
+            denials,
+            user,
+            ..
+        } = pre_snapshot;
         // Probe denials are only meaningful where the monitor has probe
         // authority: a request addressed to a foreign project is expected
         // to be unobservable (and its pre-condition correctly fails on the
@@ -1021,12 +1028,12 @@ impl<S: SharedRestService> CloudMonitor<S> {
             {
                 Vec::new()
             }
-            _ => pre_snapshot.denials,
+            _ => denials,
         };
         // Snapshot serialization is not free: capture the replay
         // environments only for a recorder.
         let audit = self.audit.is_some();
-        let pre_env = if audit {
+        let mut pre_env = if audit {
             EnvSnapshot::capture(&pre_state)
         } else {
             EnvSnapshot::default()
@@ -1091,7 +1098,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         //    pre-condition (Observe mode continues here) never consults
         //    the post-state, and the replica steady state *predicts* it
         //    from the response, so both keep the plain forward.
-        let mut merged_post: Option<crate::probe::Snapshot> = None;
+        let mut merged_post: Option<Snapshot> = None;
         let response = if pre.ok && !via_replica {
             let (response, snap) = timed(&mut obs.timings.forward, || {
                 self.prober
@@ -1155,79 +1162,125 @@ impl<S: SharedRestService> CloudMonitor<S> {
         //    and the gateway disambiguation observe the post-state the
         //    same way: from the merged batch above when probing, from the
         //    replica's prediction (zero probes) in the replica steady
-        //    state.
+        //    state, binding `user` as `identity`. Only a judgement on a
+        //    refreshed identity (below) may need a post-state neither
+        //    holds: it probes one now, under the shard lock still held.
         //    The judge's own time is post-check time; the post-state it
         //    waits for is snapshot time, and the audit capture neither.
         let mut post_env = None;
         let mut post_partial = false;
-        let mut waited = Duration::ZERO;
-        let judged = Instant::now();
-        let decision = judge
-            .response(pre, status, &probe_denials, &pre_view, scratch, || {
-                let asked = Instant::now();
-                let snap = timed(&mut obs.timings.snapshot, || {
-                    if let Some(snap) = merged_post.take() {
-                        // The replica probe path's post snapshot is
-                        // ground truth after the mutation — absorb it.
-                        if self.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
-                            replicas
-                                .entry(project_id)
-                                .or_default()
-                                .absorb(project_id, volume_id, &snap.nav);
-                        }
-                        return snap;
+        let mut post_snapshot = Duration::ZERO;
+        let waited = Cell::new(Duration::ZERO);
+        let mut observe_post = |identity: Option<&Identity>| {
+            let asked = Instant::now();
+            let snap = timed(&mut post_snapshot, || {
+                let replica = via_replica
+                    .then(|| replicas.entry(project_id).or_default())
+                    .filter(|replica| replica.ready());
+                if let (None, Some(replica), Some(identity)) = (&merged_post, replica, identity) {
+                    // Post-state predicted by the transition just
+                    // applied. Zero probes.
+                    let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
+                    identity.bind(&mut nav);
+                    return Snapshot {
+                        nav,
+                        denials: Vec::new(),
+                        faults: Vec::new(),
+                        user: None,
+                    };
+                }
+                let snap = merged_post.take().unwrap_or_else(|| {
+                    if via_replica {
+                        // The response was unpredictable: on-demand
+                        // reconciliation serves the post-state and
+                        // re-seeds the replica.
+                        self.metrics.replica.increment("miss");
                     }
-                    // Only the replica steady state forwards without
-                    // post-probes.
-                    debug_assert!(via_replica);
-                    let replica = replicas.entry(project_id).or_default();
-                    if replica.ready() {
-                        // Post-state predicted by the transition just
-                        // applied; identity rides the stashed (cached)
-                        // introspection. Zero probes.
-                        let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
-                        match &replica_identity {
-                            Some(introspection) => {
-                                ProjectReplica::bind_identity(&mut nav, introspection);
-                            }
-                            None => ProjectReplica::bind_no_identity(&mut nav),
-                        }
-                        return crate::probe::Snapshot {
-                            nav,
-                            denials: Vec::new(),
-                            faults: Vec::new(),
-                        };
-                    }
-                    // The response was unpredictable: on-demand
-                    // reconciliation serves the post-state and re-seeds
-                    // the replica.
-                    self.metrics.replica.increment("miss");
-                    let snap = self.prober.snapshot_checked(&self.cloud, &target);
-                    if !snap.is_partial() {
-                        replica.absorb(project_id, volume_id, &snap.nav);
-                    }
-                    snap
+                    self.prober.snapshot_checked(&self.cloud, &target)
                 });
-                let post = if snap.is_partial() {
-                    post_partial = true;
-                    PostState::Unobservable(
-                        snap.faults
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    )
-                } else {
-                    if audit {
-                        post_env = Some(EnvSnapshot::capture(&snap.nav));
-                    }
-                    PostState::Observed(snap.nav)
-                };
-                waited = asked.elapsed();
-                post
+                // A probed post snapshot is ground truth after the
+                // mutation — the replica absorbs it.
+                if self.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
+                    replicas
+                        .entry(project_id)
+                        .or_default()
+                        .absorb(project_id, volume_id, &snap.nav);
+                }
+                snap
+            });
+            post_partial = snap.is_partial();
+            post_env = (audit && !post_partial).then(|| EnvSnapshot::capture(&snap.nav));
+            let post = if post_partial {
+                PostState::Unobservable(
+                    snap.faults
+                        .iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join("; "),
+                )
+            } else {
+                PostState::Observed(snap.nav)
+            };
+            waited.set(waited.get() + asked.elapsed());
+            post
+        };
+        let identity = user.as_ref().map(|user| &*user.identity);
+        let judged = Instant::now();
+        let mut decision = judge
+            .response(pre, status, &probe_denials, &pre_view, scratch, || {
+                observe_post(identity)
             })
             .expect("the monitor observes the post-state or reports it unobservable");
-        obs.timings.post_check += judged.elapsed().saturating_sub(waited);
+        obs.timings.post_check += judged.elapsed().saturating_sub(waited.get());
+
+        // No violation rests on a cached identity: the caller's roles may
+        // have changed within the cache's TTL. Introspect the token again;
+        // an unchanged identity confirms the verdict, a changed one is
+        // judged again (the request was forwarded, so pre cannot block)
+        // and reported as identity drift.
+        if let Some(stale) = user.filter(|user| {
+            user.cached
+                && matches!(
+                    decision.verdict,
+                    Verdict::WrongDenial | Verdict::WrongAcceptance
+                )
+        }) {
+            let fresh = match timed(&mut obs.timings.snapshot, || {
+                self.prober.introspect(&self.cloud, &target.user_token)
+            }) {
+                Ok(fresh) => fresh,
+                Err(fault) => {
+                    self.metrics.resilience.increment("degraded_pre");
+                    let fault = fault.to_string();
+                    return (
+                        response,
+                        judge.degraded(format!("identity re-check failed in transport: {fault}")),
+                        ReplayContext::DegradedPre {
+                            forwarded: true,
+                            faults: vec![fault],
+                        },
+                    );
+                }
+            };
+            if fresh != stale.identity {
+                fresh.rebind(&mut pre_state, &stale.identity);
+                if audit {
+                    pre_env = EnvSnapshot::capture(&pre_state);
+                }
+                let pre_view = EnvView::from_navigator(&pre_state, self.compiled.symbols());
+                decision = match judge.pre(judge::pre_mode(self.mode, true), &pre_view, scratch) {
+                    Ok(pre) => judge
+                        .response(pre, status, &probe_denials, &pre_view, scratch, || {
+                            observe_post(Some(&fresh))
+                        })
+                        .expect("the monitor observes the post-state or reports it unobservable"),
+                    Err(decision) => decision,
+                };
+                obs.drift
+                    .push(self.drift_record("identity", stale.identity.drift(&fresh)));
+            }
+        }
+        obs.timings.snapshot += post_snapshot;
         if decision.verdict == Verdict::Degraded {
             self.metrics.resilience.increment(if status.is_success() {
                 "degraded_post"

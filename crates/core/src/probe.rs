@@ -11,12 +11,12 @@
 //! the monitored call produces the `pre(...)` snapshot; probing after it
 //! produces the post-state.
 
+use crate::identity::{Identity, IdentityCache, UserBinding};
 use cm_model::HttpMethod;
 use cm_ocl::{MapNavigator, ObjRef, Value};
 use cm_rest::{Json, RestRequest, RestResponse, SharedRestService, StatusCode};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One probe GET that the *transport* failed to deliver: the response
@@ -39,6 +39,21 @@ pub struct ProbeFault {
     pub reason: String,
 }
 
+impl ProbeFault {
+    /// The fault `resp` reports for the probe `GET {path}`: a response
+    /// the transport synthesised, or a gateway status.
+    fn of(path: &str, resp: &RestResponse) -> Option<ProbeFault> {
+        (resp.is_transport_fault() || resp.status.is_gateway_error()).then(|| ProbeFault {
+            probe: format!("GET {path}"),
+            status: resp.status.0,
+            reason: resp
+                .error_message()
+                .unwrap_or("transport fault")
+                .to_string(),
+        })
+    }
+}
+
 impl std::fmt::Display for ProbeFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} -> {} ({})", self.probe, self.status, self.reason)
@@ -57,6 +72,9 @@ pub struct Snapshot {
     /// Probes the transport failed to deliver — the snapshot is partial
     /// and must not be evaluated against a contract.
     pub faults: Vec<ProbeFault>,
+    /// The identity bound to `user`; `None` when its introspection is
+    /// among the faults.
+    pub user: Option<UserBinding>,
 }
 
 impl Snapshot {
@@ -93,13 +111,10 @@ pub struct ProbeTarget {
 /// same reason. The TTL bounds how long a *revocation* can go unnoticed.
 pub const DEFAULT_IDENTITY_TTL: Duration = Duration::from_secs(60);
 
-/// token → (cached-at, shared introspection response).
-type IdentityCache = HashMap<String, (Instant, Arc<RestResponse>)>;
-
-/// Default number of entries the identity cache holds before it is
-/// wholesale cleared — a bound against unauthenticated traffic spraying
-/// unique junk tokens. Override with
-/// [`StateProber::identity_capacity`].
+/// Default number of tokens the identity cache holds. At the cap an
+/// insert evicts one expired or unreferenced entry (CLOCK), which bounds
+/// the memory unauthenticated traffic spraying unique junk tokens can
+/// take. Override with [`StateProber::identity_capacity`].
 pub const DEFAULT_IDENTITY_CAP: usize = 4096;
 
 /// Shared hit/miss counter handles for the identity cache, wired by the
@@ -117,16 +132,11 @@ struct IdentityCounters {
 pub struct StateProber {
     /// API prefix for the block-storage service.
     pub prefix: String,
-    /// TTL for cached token introspections; zero disables the cache.
-    identity_ttl: Duration,
-    /// Entries held before the cache is wholesale cleared.
-    identity_cap: usize,
     /// Cache hit/miss tallies, when the owner wants them surfaced.
     identity_counters: Option<IdentityCounters>,
-    /// token → (cached-at, introspection response). Shared across
-    /// clones so every shard of one monitor sees the same cache; the
-    /// response itself is shared too, so a hit is a refcount bump
-    /// rather than a deep clone of the introspection body.
+    /// token → parsed identity. Shared across clones, with its TTL and
+    /// capacity, so every shard of one monitor sees the same cache; a
+    /// hit is a refcount bump on the shared [`Identity`].
     identity_cache: Arc<Mutex<IdentityCache>>,
 }
 
@@ -134,10 +144,11 @@ impl Default for StateProber {
     fn default() -> Self {
         StateProber {
             prefix: "/v3".to_string(),
-            identity_ttl: DEFAULT_IDENTITY_TTL,
-            identity_cap: DEFAULT_IDENTITY_CAP,
             identity_counters: None,
-            identity_cache: Arc::new(Mutex::new(HashMap::new())),
+            identity_cache: Arc::new(Mutex::new(IdentityCache::new(
+                DEFAULT_IDENTITY_CAP,
+                DEFAULT_IDENTITY_TTL,
+            ))),
         }
     }
 }
@@ -152,21 +163,22 @@ impl StateProber {
         }
     }
 
-    /// Set the identity-cache TTL (builder style). `Duration::ZERO`
-    /// disables caching: every snapshot re-introspects the token.
+    /// Set the identity-cache TTL (builder style; clones of this prober
+    /// share the cache and so the setting). `Duration::ZERO` disables
+    /// caching: every snapshot re-introspects the token.
     #[must_use]
-    pub fn identity_ttl(mut self, ttl: Duration) -> Self {
-        self.identity_ttl = ttl;
+    pub fn identity_ttl(self, ttl: Duration) -> Self {
+        self.identities().ttl = ttl;
         self
     }
 
-    /// Set the identity-cache capacity (builder style): entries held
-    /// before the cache is wholesale cleared. A capacity of zero keeps
-    /// nothing (every insert immediately clears), which is effectively
-    /// the same as a zero TTL.
+    /// Set the identity-cache capacity (builder style; shared like
+    /// [`StateProber::identity_ttl`]): tokens held before an insert
+    /// evicts one expired or unreferenced entry. A capacity of zero
+    /// keeps nothing, the same as a zero TTL.
     #[must_use]
-    pub fn identity_capacity(mut self, capacity: usize) -> Self {
-        self.identity_cap = capacity;
+    pub fn identity_capacity(self, capacity: usize) -> Self {
+        self.identities().capacity = capacity;
         self
     }
 
@@ -179,56 +191,41 @@ impl StateProber {
         self
     }
 
-    /// Count one identity-cache lookup outcome.
-    fn count_identity(&self, hit: bool) {
+    fn identities(&self) -> MutexGuard<'_, IdentityCache> {
+        self.identity_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A still-fresh cached identity for `token`, if any, counted as one
+    /// cache hit or miss.
+    fn cached_identity(&self, token: &str) -> Option<Arc<Identity>> {
+        let hit = self.identities().get(token, Instant::now());
         if let Some(counters) = &self.identity_counters {
-            let counter = if hit { &counters.hit } else { &counters.miss };
+            let counter = if hit.is_some() {
+                &counters.hit
+            } else {
+                &counters.miss
+            };
             counter.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
-    /// A still-fresh cached introspection for `token`, if any. Expired
-    /// entries are evicted on the way.
-    fn cached_identity(&self, token: &str) -> Option<Arc<RestResponse>> {
-        if self.identity_ttl.is_zero() {
-            return None;
-        }
-        let mut cache = self
-            .identity_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match cache.get(token) {
-            Some((at, resp)) if at.elapsed() < self.identity_ttl => Some(resp.clone()),
-            Some(_) => {
-                cache.remove(token);
-                None
-            }
-            None => None,
-        }
+    /// Parse and cache an introspection answer that reached the cloud
+    /// (a transport fault says nothing about the token).
+    fn remember_identity(&self, token: &str, introspection: &RestResponse) -> Arc<Identity> {
+        let identity = Arc::new(Identity::parse(introspection));
+        self.identities()
+            .insert(token, Arc::clone(&identity), Instant::now());
+        identity
     }
 
-    /// Remember an introspection answer (callers skip transport faults:
-    /// a synthesised response says nothing about the token).
-    fn remember_identity(&self, token: &str, resp: &RestResponse) {
-        if self.identity_ttl.is_zero() {
-            return;
-        }
-        let mut cache = self
-            .identity_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cache.len() >= self.identity_cap && !cache.contains_key(token) {
-            cache.clear();
-        }
-        cache.insert(token.to_string(), (Instant::now(), Arc::new(resp.clone())));
-    }
-
-    /// Introspect one token (`GET /identity/tokens/{token}`) through
-    /// the identity cache: a fresh cached answer is returned without
-    /// touching the cloud; otherwise one GET runs and the (non-fault)
-    /// answer is cached. This is the *only* round-trip a replica-mode
-    /// request may need in steady state — the shadow replica supplies
-    /// every other binding locally.
+    /// The identity of one token through the identity cache: a fresh
+    /// cached identity is returned without touching the cloud; otherwise
+    /// one introspection GET runs and its answer is cached. This is the
+    /// *only* round-trip a replica-mode request may need in steady state
+    /// — the shadow replica supplies every other binding locally.
     ///
     /// # Errors
     ///
@@ -239,26 +236,36 @@ impl StateProber {
         &self,
         cloud: &dyn SharedRestService,
         token: &str,
-    ) -> Result<Arc<RestResponse>, ProbeFault> {
-        if let Some(cached) = self.cached_identity(token) {
-            self.count_identity(true);
-            return Ok(cached);
-        }
-        self.count_identity(false);
-        let path = format!("/identity/tokens/{token}");
-        let resp = cloud.call(&RestRequest::new(HttpMethod::Get, path.clone()));
-        if resp.is_transport_fault() || resp.status.is_gateway_error() {
-            return Err(ProbeFault {
-                probe: format!("GET {path}"),
-                status: resp.status.0,
-                reason: resp
-                    .error_message()
-                    .unwrap_or("transport fault")
-                    .to_string(),
+    ) -> Result<UserBinding, ProbeFault> {
+        if let Some(identity) = self.cached_identity(token) {
+            return Ok(UserBinding {
+                identity,
+                cached: true,
             });
         }
-        self.remember_identity(token, &resp);
-        Ok(Arc::new(resp))
+        self.introspect(cloud, token).map(|identity| UserBinding {
+            identity,
+            cached: false,
+        })
+    }
+
+    /// Introspect one token (`GET /identity/tokens/{token}`) past the
+    /// cache, and cache the answer.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateProber::identity`].
+    pub(crate) fn introspect(
+        &self,
+        cloud: &dyn SharedRestService,
+        token: &str,
+    ) -> Result<Arc<Identity>, ProbeFault> {
+        let path = format!("/identity/tokens/{token}");
+        let resp = cloud.call(&RestRequest::new(HttpMethod::Get, path.clone()));
+        match ProbeFault::of(&path, &resp) {
+            Some(fault) => Err(fault),
+            None => Ok(self.remember_identity(token, &resp)),
+        }
     }
 
     /// Probe the cloud and build the evaluation environment as a
@@ -378,7 +385,6 @@ impl StateProber {
         // serve it from the identity cache when fresh and skip the
         // introspection round-trip.
         let cached_user = self.cached_identity(&target.user_token);
-        self.count_identity(cached_user.is_some());
         if cached_user.is_none() {
             add(
                 Probe::User,
@@ -415,9 +421,13 @@ impl StateProber {
         nav.set_variable("volume", volume.clone());
         let snapshot = ObjRef::new(Arc::clone(&SNAPSHOT_CLASS), target.snapshot_id.unwrap_or(0));
         nav.set_variable("snapshot", snapshot.clone());
-        if let Some(resp) = &probes.cached_user {
-            bind_user(&mut nav, resp);
-        }
+        let mut user = probes.cached_user.map(|identity| {
+            identity.bind(&mut nav);
+            UserBinding {
+                identity,
+                cached: true,
+            }
+        });
 
         for ((kind, request), resp) in probes.kinds.iter().zip(&probes.requests).zip(responses) {
             // A response the transport synthesised (or a gateway status)
@@ -426,15 +436,8 @@ impl StateProber {
             // "observe" state that was never actually read. All probe
             // kinds count, including the denial-exempt ones: a missing
             // user binding is just as much a hole in the environment.
-            if resp.is_transport_fault() || resp.status.is_gateway_error() {
-                faults.push(ProbeFault {
-                    probe: format!("GET {}", request.path),
-                    status: resp.status.0,
-                    reason: resp
-                        .error_message()
-                        .unwrap_or("transport fault")
-                        .to_string(),
-                });
+            if let Some(fault) = ProbeFault::of(&request.path, &resp) {
+                faults.push(fault);
                 continue;
             }
             // The monitor probes with its own (admin-authority) token, so
@@ -460,8 +463,12 @@ impl StateProber {
                 Probe::User => {
                     // Reached the cloud (faults `continue` above), so
                     // the answer is authoritative and cacheable.
-                    self.remember_identity(&target.user_token, &resp);
-                    bind_user(&mut nav, &resp);
+                    let identity = self.remember_identity(&target.user_token, &resp);
+                    identity.bind(&mut nav);
+                    user = Some(UserBinding {
+                        identity,
+                        cached: false,
+                    });
                 }
             }
         }
@@ -470,6 +477,7 @@ impl StateProber {
             nav,
             denials,
             faults,
+            user,
         }
     }
 }
@@ -481,7 +489,7 @@ impl StateProber {
 struct AssembledProbes {
     kinds: Vec<Probe>,
     requests: Vec<RestRequest>,
-    cached_user: Option<Arc<RestResponse>>,
+    cached_user: Option<Arc<Identity>>,
 }
 
 /// Interned class names for the cinder context variables: snapshots
@@ -655,42 +663,6 @@ fn bind_quota(nav: &mut MapNavigator, quota: ObjRef, resp: &RestResponse) {
         .and_then(Json::as_int)
     {
         nav.set_attribute(quota, "volume", q);
-    }
-}
-
-/// The `user` context from token introspection. Introspection 404s for
-/// unauthenticated requesters; that is a legitimate outcome, and the
-/// `user` variable is bound attribute-free so guards evaluate to false
-/// rather than erroring on an unknown variable. Shared with the replica
-/// module: a replica-built environment binds `user` from the same
-/// introspection answer a probe-built one would.
-pub(crate) fn bind_user(nav: &mut MapNavigator, resp: &RestResponse) {
-    if let Some(tok) = resp.body.as_ref().and_then(|b| b.get("token")) {
-        let uid = tok.get("user_id").and_then(Json::as_int).unwrap_or(0);
-        let user = ObjRef::new(Arc::clone(&USER_CLASS), uid as u64);
-        nav.set_variable("user", user.clone());
-        nav.set_attribute(user.clone(), "id", Value::set(vec![Value::Int(uid)]));
-        if let Some(name) = tok.get("user").and_then(Json::as_str) {
-            nav.set_attribute(user.clone(), "name", name);
-        }
-        let roles: Vec<Value> = tok
-            .get("roles")
-            .and_then(Json::as_array)
-            .map(|rs| {
-                rs.iter()
-                    .filter_map(Json::as_str)
-                    .map(|s| Value::Str(s.to_string()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        // Figure 3 guard vocabulary: `user.groups = 'admin'` compares
-        // against the primary role label.
-        if let Some(Value::Str(primary)) = roles.first() {
-            nav.set_attribute(user.clone(), "groups", primary.clone());
-        }
-        nav.set_attribute(user, "roles", Value::set(roles));
-    } else {
-        nav.set_variable("user", ObjRef::new(Arc::clone(&USER_CLASS), 0));
     }
 }
 

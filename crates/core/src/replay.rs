@@ -308,7 +308,8 @@ impl ReplayEngine {
             ) => {
                 let pre_nav = pre_env.to_navigator();
                 let pre_view = EnvView::from_navigator(&pre_nav, compiled.symbols());
-                let pre = match judge.pre(record.mode, &pre_view, scratch) {
+                let mode = judge::pre_mode(record.mode, *forwarded);
+                let pre = match judge.pre(mode, &pre_view, scratch) {
                     Ok(pre) => pre,
                     Err(decision) => return decided(decision),
                 };

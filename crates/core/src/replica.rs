@@ -33,7 +33,7 @@
 //! replica.
 
 use crate::monitor::expected_success_status;
-use crate::probe::{PROJECT_CLASS, QUOTA_CLASS, SNAPSHOT_CLASS, USER_CLASS, VOLUME_CLASS};
+use crate::probe::{PROJECT_CLASS, QUOTA_CLASS, SNAPSHOT_CLASS, VOLUME_CLASS};
 use cm_model::HttpMethod;
 use cm_ocl::{MapNavigator, Navigator, ObjRef, Value};
 use cm_rest::{Json, RestResponse};
@@ -574,18 +574,6 @@ impl ProjectReplica {
             // fine — the listing stays unknown, nothing turned wrong.
             None => true,
         }
-    }
-
-    /// Bind the `user` context exactly as the prober would, from a
-    /// token-introspection response (cached or fresh).
-    pub fn bind_identity(nav: &mut MapNavigator, introspection: &RestResponse) {
-        crate::probe::bind_user(nav, introspection);
-    }
-
-    /// Bind an attribute-free `user` variable (probe plans that skip
-    /// the user context do the same).
-    pub fn bind_no_identity(nav: &mut MapNavigator) {
-        nav.set_variable("user", ObjRef::new(Arc::clone(&USER_CLASS), 0));
     }
 }
 

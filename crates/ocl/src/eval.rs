@@ -75,6 +75,12 @@ impl MapNavigator {
         self
     }
 
+    /// Unbind every property of `obj` (variables naming it stay bound).
+    pub fn clear_object(&mut self, obj: &ObjRef) -> &mut Self {
+        self.attributes.retain(|(bound, _), _| bound != obj);
+        self
+    }
+
     /// Number of variable bindings (used in tests and diagnostics).
     #[must_use]
     pub fn variable_count(&self) -> usize {

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example snapshot_monitoring`
 
-use cm_audit::{AuditRecorder, MemoryRecorder};
+use cm_audit::{AuditRecorder, MemoryRecorder, RecordSummary};
 use cm_cloudsim::PrivateCloud;
 use cm_core::{cinder_monitor_extended, Mode};
 use cm_model::HttpMethod;
@@ -118,9 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ninvocation log as JSON (fault-localization export):");
     let summaries = recorder
         .records()
-        .iter()
+        .into_iter()
         .zip(0..)
-        .map(|(r, offset)| r.summary_json(offset))
+        .map(|(r, offset)| RecordSummary::from(r).to_json(offset))
         .collect();
     println!("{}", Json::Array(summaries).to_compact_string());
     Ok(())

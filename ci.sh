@@ -45,7 +45,8 @@ stages (run exactly what is named, in the order given, deduplicated):
              over the mutant catalog, streaming tail)
   replica    shadow-replica battery (drift detection, anti-entropy chaos,
              identity cache and role-change re-judge under both bindings,
-             replica/full differential property, bench smoke)
+             replica/full differential property over the mutant catalog,
+             bench smoke)
   overload   overload-control battery (shed storm, admin-lane immunity,
              shed provenance, overload x chaos interleaving, bench smoke)
   ledger     perf_ledger benchmark: its unit tests and a --smoke run
@@ -210,7 +211,7 @@ stage_replica() {
   step "replica: identity is state (role changes within the cache TTL, both bindings)"
   cargo test --offline --test identity -q
 
-  step "replica: replica/full differential property"
+  step "replica: replica/full differential property over the mutant catalog"
   cargo test --offline --features proptest --test proptests -q \
     replica_matches_full_snapshots
 

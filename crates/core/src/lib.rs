@@ -54,7 +54,7 @@ pub mod monitor;
 pub mod oracle;
 pub mod probe;
 pub mod replay;
-pub mod replica;
+mod replica;
 
 pub use coverage::{CoverageTracker, RequirementCoverage};
 pub use identity::{Identity, UserBinding};
@@ -65,4 +65,3 @@ pub use monitor::{
 pub use oracle::{OracleReport, ScenarioResult, TestOracle};
 pub use probe::{ProbeFault, ProbeTarget, Snapshot, StateProber, DEFAULT_IDENTITY_CAP};
 pub use replay::{ReplayEngine, ReplayEntry, ReplayOutcome, ReplayReport};
-pub use replica::{DriftEntry, ProjectReplica};

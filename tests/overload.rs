@@ -23,17 +23,17 @@ use cm_audit::{
     VerdictCode,
 };
 use cm_httpkit::{
-    send, AdminRoutes, HttpServer, OverloadConfig, ServerConfig, ShedDecision, ShedObserver,
-    Transport,
+    read_response_buf, send, serialize_request, AdminRoutes, ConnectionMode, HttpServer,
+    OverloadConfig, ServerConfig, ShedDecision, ShedObserver, Transport,
 };
 use cm_model::HttpMethod;
 use cm_obs::{Lane, MetricsRegistry, NullSink, OverloadStats, TailStream};
 use cm_rest::{Json, RestRequest, RestResponse, StatusCode};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -58,6 +58,50 @@ fn server_config(overload: OverloadConfig) -> ServerConfig {
 }
 
 type ShedLog = Arc<Mutex<Vec<(String, Lane, String)>>>;
+
+/// Requests in one storm burst: 25 × 3 ms of service is three times
+/// either test's queue budget.
+const BURST: usize = 25;
+
+/// One storm client: `BURST` GETs of `/app` pipelined in a single write
+/// on one connection, then their responses in order. The shard parses
+/// the whole burst into its run queue at one admission instant and
+/// serves it at 3 ms a request, so every request queued behind more
+/// than a budget's worth of that service has waited past the budget
+/// when it is dispatched: the burst's tail sheds by the test's own
+/// arithmetic, whatever the thread scheduling. Returns `(served, shed)`.
+fn pipelined_burst(addr: SocketAddr) -> (u64, u64) {
+    let mut payload = Vec::new();
+    for i in 0..BURST {
+        let mode = if i + 1 == BURST {
+            ConnectionMode::Close
+        } else {
+            ConnectionMode::KeepAlive
+        };
+        serialize_request(
+            &mut payload,
+            &RestRequest::new(HttpMethod::Get, "/app"),
+            mode,
+        );
+    }
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    conn.write_all(&payload).expect("burst");
+    let mut reader = BufReader::new(conn);
+    let (mut ok, mut shed) = (0, 0);
+    for _ in 0..BURST {
+        let resp = read_response_buf(&mut reader).expect("one response per pipelined request");
+        if resp.is_overload_shed() {
+            assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
+            shed += 1;
+        } else {
+            assert_eq!(resp.status, StatusCode::OK);
+            ok += 1;
+        }
+    }
+    (ok, shed)
+}
 
 fn shed_collector() -> (ShedLog, ShedObserver) {
     let log: ShedLog = Arc::new(Mutex::new(Vec::new()));
@@ -86,15 +130,15 @@ fn shed_storm_marks_503s_and_never_touches_the_admin_lane() {
     let admin = AdminRoutes::new(Arc::clone(&metrics), Arc::new(NullSink))
         .with_overload(Arc::clone(&stats));
     let app = Arc::new(|_req: RestRequest| {
-        // A slow backend: every request costs real shard time, so
-        // concurrent clients build genuine queue wait.
+        // A slow backend: every request costs real shard time, so a
+        // pipelined burst builds genuine queue wait.
         thread::sleep(Duration::from_millis(3));
         RestResponse::ok(Json::Str("slow".into()))
     });
     let server = HttpServer::bind_with("127.0.0.1:0", admin.wrap(app), config).expect("bind");
     let addr = server.local_addr();
 
-    // The storm: 12 concurrent clients, each a stream of one-shot GETs.
+    // The storm: 4 concurrent clients, each one pipelined burst.
     let stop_health = Arc::new(AtomicBool::new(false));
     let health_stop = Arc::clone(&stop_health);
     let health_poller = thread::spawn(move || {
@@ -113,25 +157,8 @@ fn shed_storm_marks_503s_and_never_touches_the_admin_lane() {
         }
         bodies
     });
-    let storm: Vec<_> = (0..12)
-        .map(|_| {
-            thread::spawn(move || {
-                let mut ok = 0u64;
-                let mut shed = 0u64;
-                for _ in 0..25 {
-                    let resp =
-                        send(addr, &RestRequest::new(HttpMethod::Get, "/app")).expect("send");
-                    if resp.is_overload_shed() {
-                        assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
-                        shed += 1;
-                    } else {
-                        assert_eq!(resp.status, StatusCode::OK);
-                        ok += 1;
-                    }
-                }
-                (ok, shed)
-            })
-        })
+    let storm: Vec<_> = (0..4)
+        .map(|_| thread::spawn(move || pipelined_burst(addr)))
         .collect();
     let mut total_ok = 0;
     let mut total_shed = 0;
@@ -260,8 +287,18 @@ fn parked_stream_longpoll_survives_a_shed_storm() {
     let admin = AdminRoutes::new(Arc::new(MetricsRegistry::new()), Arc::new(NullSink))
         .with_stream(Arc::clone(&log) as Arc<dyn TailStream>)
         .with_overload(Arc::clone(&stats));
-    let app = Arc::new(|_req: RestRequest| {
-        thread::sleep(Duration::from_millis(3));
+    // `/app/hold` keeps the single shard inside its handler until the
+    // test has committed the records, so the parked poll's next retry,
+    // which runs on that shard, sees all three at once.
+    let hold = Arc::new(Barrier::new(2));
+    let held = Arc::clone(&hold);
+    let app = Arc::new(move |req: RestRequest| {
+        if req.path == "/app/hold" {
+            held.wait(); // the shard is inside the handler
+            held.wait(); // the records are committed
+        } else {
+            thread::sleep(Duration::from_millis(3));
+        }
         RestResponse::ok(Json::Str("slow".into()))
     });
     let config = server_config(OverloadConfig {
@@ -283,29 +320,23 @@ fn parked_stream_longpoll_survives_a_shed_storm() {
     thread::sleep(Duration::from_millis(100));
 
     // Shed storm around the parked connection.
-    let storm: Vec<_> = (0..10)
-        .map(|_| {
-            thread::spawn(move || {
-                let mut shed = 0u64;
-                for _ in 0..20 {
-                    let resp =
-                        send(addr, &RestRequest::new(HttpMethod::Get, "/app")).expect("send");
-                    if resp.is_overload_shed() {
-                        shed += 1;
-                    }
-                }
-                shed
-            })
-        })
+    let storm: Vec<_> = (0..4)
+        .map(|_| thread::spawn(move || pipelined_burst(addr).1))
         .collect();
     let total_shed: u64 = storm.into_iter().map(|t| t.join().unwrap()).sum();
 
     // The records the parked poller is waiting for arrive after the
     // storm; its connection must still be alive to receive them.
+    let holder = thread::spawn(move || {
+        send(addr, &RestRequest::new(HttpMethod::Get, "/app/hold")).expect("hold")
+    });
+    hold.wait();
     for i in 0..3 {
         log.append(audit_record(i));
     }
     log.flush().unwrap();
+    hold.wait();
+    assert_eq!(holder.join().unwrap().status, StatusCode::OK);
     let resp = poller.join().unwrap();
     server.shutdown();
 
